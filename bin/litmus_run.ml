@@ -81,6 +81,14 @@ let run_grid jobs spec retries faults keep_going =
   else if unknown && not keep_going then 4
   else 0
 
+(* The E4 catalog sweep.  As for the grid, stdout carries the table
+   rendered with [stats:false], byte-identical across runs and [--jobs]
+   settings; the per-row and total timings go to stderr. *)
+let pr_timings timings ms jobs =
+  List.iter (fun (name, row_ms) -> Fmt.epr "-- %s in %.1f ms@." name row_ms)
+    timings;
+  Fmt.epr "-- swept in %.1f ms (jobs=%d)@." ms jobs
+
 let run_all params jobs spec retries faults keep_going =
   if
     Engine.Budget.spec_is_unlimited spec && retries = 0
@@ -90,8 +98,12 @@ let run_all params jobs spec retries faults keep_going =
     let rows, ms =
       Engine.Stats.timed (fun () -> Litmus.Matrix.e4_rows ~jobs ~params ())
     in
-    Fmt.pr "%s" (Litmus.Matrix.render_e4 ~stats:true rows);
-    Fmt.pr "-- swept in %.1f ms (jobs=%d)@." ms jobs;
+    Fmt.pr "%s" (Litmus.Matrix.render_e4 rows);
+    pr_timings
+      (List.map
+         (fun (r : Litmus.Matrix.e4_row) -> (r.c.Litmus.Catalog.cname, r.wall_ms))
+         rows)
+      ms jobs;
     if List.exists (fun (r : Litmus.Matrix.e4_row) -> r.truncated) rows then 3
     else 0
   end
@@ -101,8 +113,13 @@ let run_all params jobs spec retries faults keep_going =
           Litmus.Matrix.e4_rows_v ~jobs ~params ~budget:spec ~retries ~faults
             ())
     in
-    Fmt.pr "%s" (Litmus.Matrix.render_e4_v ~stats:true rows);
-    Fmt.pr "-- swept in %.1f ms (jobs=%d)@." ms jobs;
+    Fmt.pr "%s" (Litmus.Matrix.render_e4_v rows);
+    pr_timings
+      (List.map
+         (fun ((c : Litmus.Catalog.concurrent), (o : _ Engine.Sweep.outcome)) ->
+           (c.cname, o.wall_ms))
+         rows)
+      ms jobs;
     let truncated =
       List.exists
         (fun (_, (o : _ Engine.Sweep.outcome)) ->

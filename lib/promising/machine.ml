@@ -43,97 +43,246 @@ end)
 (* Canonicalization                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Interner for program states: canonical keys would otherwise
-   pretty-print the entire remaining program of every thread for every
-   explored state, which dominates exploration time. *)
+(* A canonical key is a sequence of ints: two states get equal keys iff
+   they are equal up to order-isomorphism of the per-location timestamp
+   orders.  Timestamps become their rank in their location's message list
+   (0 = the init message); locations and program states become small ids
+   from interners.  Every variable-length part is count-prefixed, so the
+   encoding parses back uniquely:
+
+     key     = params-id, #locs, (loc-id, #msgs, (attached, payload)* )*,
+               sc-view, thread*
+     thread  = prog-id, cur, acq, rel,
+               #promises, (loc-id, rank, attached, payload)*,
+               #outs, value*, promised
+     view    = #entries, (loc-id, rank)*      (non-zero entries only)
+     payload = 0 (reserved) | 1, value, view
+     value   = 0 (undef) | 1, n
+
+   The params id (see {!params_fingerprint}) leads every key, so one
+   certification table serves explorations under differing params.
+
+   Keys are built into one reusable buffer, and a lookup probes the
+   tables with the buffer itself; only a key that is stored is copied
+   out into an [int array] of its own ({!Key.stored}). *)
+module Key = struct
+  type t = { ints : int array; len : int }  (** the first [len] ints *)
+
+  let rec equal_from a b i =
+    i = a.len || (a.ints.(i) = b.ints.(i) && equal_from a b (i + 1))
+
+  let equal a b = a.len = b.len && equal_from a b 0
+
+  (* polynomial over the whole key ([Hashtbl.hash] would stop after ten
+     ints), then [Hashtbl.hash]'s integer mixing *)
+  let hash a =
+    let h = ref 0 in
+    for i = 0 to a.len - 1 do
+      h := (!h * 65599) + a.ints.(i)
+    done;
+    Hashtbl.hash !h
+
+  let stored a = { a with ints = Array.sub a.ints 0 a.len }
+end
+
+module Key_tbl = Hashtbl.Make (Key)
+
 module Prog_map = Map.Make (struct
   type t = Prog.state
   let compare = Prog.compare_state
 end)
 
-type interner = { mutable next : int; mutable ids : int Prog_map.t }
+(* Interners, the reusable key buffer, and per-key scratch: the keyed
+   memory's locations by position, for rank lookups.  The helpers below
+   are closure-free, so building a key allocates only the returned probe
+   and new interner entries. *)
+type keyer = {
+  loc_ids : (Loc.t, int) Hashtbl.t;
+  mutable prog_ids : int Prog_map.t;
+  mutable nprogs : int;
+  mutable buf : int array;
+  mutable len : int;
+  mutable locs : Loc.t array;
+  mutable loc_keys : int array;  (** interned ids of [locs] *)
+  mutable loc_msgs : Message.t list array;
+  mutable nlocs : int;
+}
 
-let make_interner () = { next = 0; ids = Prog_map.empty }
+let make_keyer () =
+  {
+    loc_ids = Hashtbl.create 8;
+    prog_ids = Prog_map.empty;
+    nprogs = 0;
+    buf = Array.make 256 0;
+    len = 0;
+    locs = [||];
+    loc_keys = [||];
+    loc_msgs = [||];
+    nlocs = 0;
+  }
 
-let intern (i : interner) (p : Prog.state) : int =
-  match Prog_map.find_opt p i.ids with
-  | Some id -> id
-  | None ->
-    let id = i.next in
-    i.next <- id + 1;
-    i.ids <- Prog_map.add p id i.ids;
+let push k x =
+  if k.len = Array.length k.buf then begin
+    let buf = Array.make (2 * k.len) 0 in
+    Array.blit k.buf 0 buf 0 k.len;
+    k.buf <- buf
+  end;
+  k.buf.(k.len) <- x;
+  k.len <- k.len + 1
+
+let loc_id k x =
+  match Hashtbl.find k.loc_ids x with
+  | id -> id
+  | exception Not_found ->
+    let id = Hashtbl.length k.loc_ids in
+    Hashtbl.add k.loc_ids x id;
     id
 
-(* Rank of a timestamp within its location's message list (0 = the init
-   message).  Views always point at message timestamps. *)
-let canon_key ?interner (s : state) : string =
-  let buf = Buffer.create 256 in
-  let ranks : (Loc.t * (Time.t * int) list) list =
-    Loc.Map.fold
-      (fun x ms acc ->
-        (x, List.mapi (fun i m -> (m.Message.ts, i)) ms) :: acc)
-      s.memory.Memory.msgs []
-  in
-  let rank x ts =
-    match List.assoc_opt x ranks with
-    | None -> -1
-    | Some l ->
-      (match List.find_opt (fun (t, _) -> Time.equal t ts) l with
-       | Some (_, i) -> i
-       | None -> -2)
-  in
-  let add_view v =
-    Loc.Map.iter
-      (fun x t ->
-        if not (Time.equal t Time.zero) then
-          Buffer.add_string buf (Printf.sprintf "%s@%d;" x (rank x t)))
-      v
-  in
-  let add_msg m =
-    Buffer.add_string buf
-      (Printf.sprintf "%s@%d%s:" m.Message.loc
-         (rank m.Message.loc m.Message.ts)
-         (if m.Message.attached then "!" else ""));
-    (match m.Message.payload with
-     | Message.Reserved -> Buffer.add_string buf "res"
-     | Message.Concrete { value; view } ->
-       Buffer.add_string buf (Value.to_string value);
-       Buffer.add_char buf '[';
-       add_view view;
-       Buffer.add_char buf ']');
-    Buffer.add_char buf ' '
-  in
-  Loc.Map.iter
-    (fun x ms ->
-      Buffer.add_string buf x;
-      Buffer.add_string buf "::";
-      List.iter add_msg ms;
-      Buffer.add_char buf '\n')
-    s.memory.Memory.msgs;
-  Buffer.add_string buf "S:";
-  add_view s.memory.Memory.scv;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (th : Thread.t) ->
-      Buffer.add_string buf "T:";
-      (match interner with
-       | Some i -> Buffer.add_string buf (string_of_int (intern i th.Thread.prog))
-       | None -> Buffer.add_string buf (Fmt.str "%a" Prog.pp_state th.Thread.prog));
-      Buffer.add_char buf '|';
-      add_view th.Thread.views.Tview.cur;
-      Buffer.add_char buf ';';
-      add_view th.Thread.views.Tview.acq;
-      Buffer.add_char buf ';';
-      add_view th.Thread.views.Tview.rel;
-      Buffer.add_char buf '|';
-      List.iter add_msg th.Thread.promises;
-      Buffer.add_char buf '|';
-      List.iter
-        (fun v -> Buffer.add_string buf (Value.to_string v ^ ","))
-        th.Thread.outs;
-      Buffer.add_string buf (Printf.sprintf "|%d\n" th.Thread.promised))
-    s.threads;
-  Buffer.contents buf
+let prog_id k p =
+  match Prog_map.find p k.prog_ids with
+  | id -> id
+  | exception Not_found ->
+    let id = k.nprogs in
+    k.nprogs <- id + 1;
+    k.prog_ids <- Prog_map.add p id k.prog_ids;
+    id
+
+let register x ms k =
+  if k.nlocs = Array.length k.locs then begin
+    let grow a fill = Array.append a (Array.make (k.nlocs + 4) fill) in
+    k.locs <- grow k.locs "";
+    k.loc_keys <- grow k.loc_keys 0;
+    k.loc_msgs <- grow k.loc_msgs []
+  end;
+  k.locs.(k.nlocs) <- x;
+  k.loc_keys.(k.nlocs) <- loc_id k x;
+  k.loc_msgs.(k.nlocs) <- ms;
+  k.nlocs <- k.nlocs + 1;
+  k
+
+let rec rank ts r = function
+  | [] -> -2
+  | m :: ms -> if Time.equal m.Message.ts ts then r else rank ts (r + 1) ms
+
+(* Push [x]'s id and the rank of [ts] among its messages: -1 for a
+   location outside memory and -2 for a timestamp no message carries
+   (views always point at message timestamps, so neither arises in
+   practice). *)
+let rec push_loc_rank k x ts i =
+  if i = k.nlocs then begin
+    push k (loc_id k x);
+    push k (-1)
+  end
+  else if Loc.equal x k.locs.(i) then begin
+    push k k.loc_keys.(i);
+    push k (rank ts 0 k.loc_msgs.(i))
+  end
+  else push_loc_rank k x ts (i + 1)
+
+let push_entry x t k =
+  if not (Time.equal t Time.zero) then push_loc_rank k x t 0;
+  k
+
+let push_view k (v : View.t) =
+  let count = k.len in
+  push k 0;
+  ignore (Loc.Map.fold push_entry v k);
+  k.buf.(count) <- (k.len - count - 1) / 2
+
+let push_value k = function
+  | Value.Undef -> push k 0
+  | Value.Int n ->
+    push k 1;
+    push k n
+
+let push_payload k = function
+  | Message.Reserved -> push k 0
+  | Message.Concrete { value; view } ->
+    push k 1;
+    push_value k value;
+    push_view k view
+
+let rec push_msgs k = function
+  | [] -> ()
+  | m :: ms ->
+    push k (Bool.to_int m.Message.attached);
+    push_payload k m.Message.payload;
+    push_msgs k ms
+
+let rec push_promises k = function
+  | [] -> ()
+  | m :: ms ->
+    push_loc_rank k m.Message.loc m.Message.ts 0;
+    push k (Bool.to_int m.Message.attached);
+    push_payload k m.Message.payload;
+    push_promises k ms
+
+let rec push_values k = function
+  | [] -> ()
+  | v :: vs ->
+    push_value k v;
+    push_values k vs
+
+let rec push_threads k = function
+  | [] -> ()
+  | (th : Thread.t) :: ths ->
+    push k (prog_id k th.Thread.prog);
+    push_view k th.Thread.views.Tview.cur;
+    push_view k th.Thread.views.Tview.acq;
+    push_view k th.Thread.views.Tview.rel;
+    push k (List.length th.Thread.promises);
+    push_promises k th.Thread.promises;
+    push k (List.length th.Thread.outs);
+    push_values k th.Thread.outs;
+    push k th.Thread.promised;
+    push_threads k ths
+
+(* The key of [s], in the keyer's buffer: valid until the next call. *)
+let key k ~params_id (s : state) : Key.t =
+  k.len <- 0;
+  k.nlocs <- 0;
+  (* register every location first: message views rank timestamps of
+     locations the iteration has not reached yet *)
+  ignore (Loc.Map.fold register s.memory.Memory.msgs k);
+  push k params_id;
+  push k k.nlocs;
+  for i = 0 to k.nlocs - 1 do
+    push k k.loc_keys.(i);
+    push k (List.length k.loc_msgs.(i));
+    push_msgs k k.loc_msgs.(i)
+  done;
+  push_view k s.memory.Memory.scv;
+  push_threads k s.threads;
+  { Key.ints = k.buf; len = k.len }
+
+(* ------------------------------------------------------------------ *)
+(* Shareable memoization context                                        *)
+(* ------------------------------------------------------------------ *)
+
+(** A certification-memo context that can be threaded through several
+    {!explore} calls (e.g. every context of one adequacy row, or all
+    tasks a sweep worker domain executes).  Never share one across
+    domains: the tables are plain [Hashtbl]s.  The interners live here
+    rather than per exploration so that keys of explorations sharing the
+    memo stay comparable.  Sharing is sound across differing params (keys
+    lead with the params id) and only ever changes {e timing} and hit
+    counts, never verdicts or state counts. *)
+type memo = {
+  cert_tbl : bool Key_tbl.t;
+  keyer : keyer;
+  params_ids : (string, int) Hashtbl.t;
+  mutable hits : int;  (** cumulative hits across all uses *)
+}
+
+let make_memo () =
+  {
+    cert_tbl = Key_tbl.create 1024;
+    keyer = make_keyer ();
+    params_ids = Hashtbl.create 4;
+    hits = 0;
+  }
+
+let memo_hits (m : memo) = m.hits
 
 (* ------------------------------------------------------------------ *)
 (* Certification                                                        *)
@@ -148,68 +297,53 @@ let params_fingerprint (p : Thread.params) : string =
     p.Thread.batch_bound p.Thread.batch_concrete p.Thread.promise_budget
     p.Thread.cert_fuel p.Thread.track_fence_views
 
+let params_id (m : memo) (p : Thread.params) : int =
+  let fp = params_fingerprint p in
+  match Hashtbl.find_opt m.params_ids fp with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length m.params_ids in
+    Hashtbl.add m.params_ids fp id;
+    id
+
 (* Thread-alone search for a promise-free point (new promises excluded;
-   failure steps empty the promise set and therefore certify).  [memo]
-   caches verdicts across the exploration, keyed by the canonical
-   single-thread state (sound: certification only depends on it and the
-   params, which [key_prefix] encodes for shared tables).  [hit_counter]
-   counts top-level memo hits. *)
-let certify ?memo ?interner ?(key_prefix = "") ?hit_counter
-    ?(budget = Engine.Budget.unlimited) (p : Thread.params) (mem : Memory.t)
-    (th : Thread.t) : bool =
-  let key mem th = canon_key ?interner { threads = [ th ]; memory = mem } in
-  let top_key = key_prefix ^ key mem th in
-  match Option.bind memo (fun m -> Hashtbl.find_opt m top_key) with
+   failure steps empty the promise set and therefore certify).  The memo
+   caches verdicts keyed by the canonical single-thread state (sound:
+   certification only depends on it and the params, whose id leads the
+   key).  The top-level key doubles as the search's first visited key. *)
+let certify ~budget (m : memo) ~params_id (p : Thread.params)
+    (mem : Memory.t) (th : Thread.t) : bool =
+  let key_of mem th =
+    key m.keyer ~params_id { threads = [ th ]; memory = mem }
+  in
+  let top_key = key_of mem th in
+  match Key_tbl.find_opt m.cert_tbl top_key with
   | Some b ->
-    Option.iter incr hit_counter;
+    m.hits <- m.hits + 1;
     b
   | None ->
-    let visited = Hashtbl.create 64 in
-    let rec go fuel mem th =
+    let top_key = Key.stored top_key in
+    let visited = Key_tbl.create 64 in
+    let rec go fuel mem th k =
       Engine.Budget.check budget;
       if th.Thread.promises = [] then true
       else if fuel = 0 then false
       else
-        let k = key mem th in
-        if Hashtbl.mem visited k then false
+        let k = match k with Some k -> k | None -> key_of mem th in
+        if Key_tbl.mem visited k then false
         else begin
-          Hashtbl.add visited k ();
+          Key_tbl.add visited (Key.stored k) ();
           let outcomes = Thread.steps p mem th @ Thread.lower_steps mem th in
           List.exists
             (function
               | Thread.Failure -> Thread.may_fail th
-              | Thread.Step (th', mem', _) -> go (fuel - 1) mem' th')
+              | Thread.Step (th', mem', _) -> go (fuel - 1) mem' th' None)
             outcomes
         end
     in
-    let result = go p.Thread.cert_fuel mem th in
-    Option.iter (fun m -> Hashtbl.replace m top_key result) memo;
+    let result = go p.Thread.cert_fuel mem th (Some top_key) in
+    Key_tbl.replace m.cert_tbl top_key result;
     result
-
-(* ------------------------------------------------------------------ *)
-(* Shareable memoization context                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** A certification-memo context that can be threaded through several
-    {!explore} calls (e.g. every context of one adequacy row, or all
-    tasks a sweep worker domain executes).  Never share one across
-    domains: the tables are plain [Hashtbl]s.  Sharing is sound across
-    differing params (keys carry a params fingerprint) and only ever
-    changes {e timing} and hit counts, never verdicts or state counts. *)
-type memo = {
-  cert_tbl : (string, bool) Hashtbl.t;
-  shared_interner : interner;
-  mutable hits : int;  (** cumulative hits across all uses *)
-}
-
-let make_memo () =
-  {
-    cert_tbl = Hashtbl.create 1024;
-    shared_interner = make_interner ();
-    hits = 0;
-  }
-
-let memo_hits (m : memo) = m.hits
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                          *)
@@ -288,12 +422,9 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
     if List.exists stmt_has_fence progs then params
     else { params with Thread.track_fence_views = false }
   in
-  let cert_memo, interner, key_prefix =
-    match memo with
-    | Some m -> (m.cert_tbl, m.shared_interner, params_fingerprint params)
-    | None -> (Hashtbl.create 1024, make_interner (), "")
-  in
-  let hit_counter = ref 0 in
+  let memo = match memo with Some m -> m | None -> make_memo () in
+  let params_id = params_id memo params in
+  let hits_before = memo.hits in
   let locs =
     let fps = List.map Stmt.footprint progs in
     let all =
@@ -316,20 +447,20 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
       (fun s -> Loc.Set.elements (Thread.writable_locs Loc.Set.empty s))
       progs
   in
-  let visited = Hashtbl.create 4096 in
+  let visited = Key_tbl.create 4096 in
   let behaviors = ref Behavior_set.empty in
   let races = ref false in
   let weak_races = ref false in
   let truncated = ref false in
   let queue = Queue.create () in
   let push s =
-    let k = canon_key ~interner s in
-    if not (Hashtbl.mem visited k) then
-      if Hashtbl.length visited >= params.Thread.max_states then
+    let k = key memo.keyer ~params_id s in
+    if not (Key_tbl.mem visited k) then
+      if Key_tbl.length visited >= params.Thread.max_states then
         truncated := true
       else begin
         Engine.Budget.spend_state budget;
-        Hashtbl.add visited k ();
+        Key_tbl.add visited (Key.stored k) ();
         Queue.push s queue
       end
   in
@@ -356,10 +487,7 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
               behaviors := Behavior_set.add Bot !behaviors;
               if until_bot then stop := true
             | Thread.Step (th', mem', _) ->
-              if
-                certify ~memo:cert_memo ~interner ~key_prefix ~hit_counter
-                  ~budget params mem' th'
-              then
+              if certify ~budget memo ~params_id params mem' th' then
                 push
                   {
                     threads =
@@ -369,14 +497,13 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
           outcomes)
       s.threads
   done;
-  Option.iter (fun m -> m.hits <- m.hits + !hit_counter) memo;
   {
     behaviors = !behaviors;
     truncated = !truncated;
-    states = Hashtbl.length visited;
+    states = Key_tbl.length visited;
     races = !races;
     weak_races = !weak_races;
-    memo_hits = !hit_counter;
+    memo_hits = memo.hits - hits_before;
   }
 
 (** Budgeted exploration that never raises: [Error reason] on budget

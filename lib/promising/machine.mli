@@ -4,7 +4,19 @@
     Exploration deduplicates states up to order-isomorphism of the
     per-location timestamp orders; promise steps, non-atomic write batches,
     and certification depth are bounded by {!Thread.params} (see
-    DESIGN.md). *)
+    DESIGN.md).
+
+    Both the visited set and the certification memo are keyed by an
+    integer canonical key, built in a reusable buffer and copied out as
+    an [int array] only when stored: the params id, then per location its
+    interned id and per message the attached bit and payload, then every
+    view (SC, and each thread's cur/acq/rel) as (location id, timestamp
+    rank) pairs for its non-zero entries, then per thread its interned
+    program id, its promises as (location, rank, attached, payload), its
+    outputs and its promise-step count.  Timestamps appear only as ranks
+    in their location's message list, which is what makes the keys
+    order-isomorphism invariant.  The interners live in the {!memo}, so
+    keys of explorations that share a memo stay comparable. *)
 
 open Lang
 
@@ -20,43 +32,25 @@ val compare_behavior : behavior -> behavior -> int
 
 module Behavior_set : Set.S with type elt = behavior
 
-(** Interner assigning small ids to program states, so canonical keys need
-    not pretty-print whole programs. *)
-type interner
-
-val make_interner : unit -> interner
-
-(** Canonical key of a machine state: per-location timestamps replaced by
-    their rank, preserving order, adjacency, views and payloads. *)
-val canon_key : ?interner:interner -> state -> string
-
-(** Fingerprint of the parameters certification verdicts depend on; used
-    to key shared memo tables across explorations with differing params. *)
-val params_fingerprint : Thread.params -> string
-
-(** [certify p mem th]: can the thread, running alone without new promise
-    steps, reach an empty promise set (⊥ counts: failure steps empty the
-    promise set)?  [memo] caches verdicts across an exploration, with
-    [key_prefix] (see {!params_fingerprint}) separating entries of
-    explorations run under different params; [hit_counter] is bumped on
-    every memo hit. *)
-val certify :
-  ?memo:(string, bool) Hashtbl.t -> ?interner:interner ->
-  ?key_prefix:string -> ?hit_counter:int ref ->
-  ?budget:Engine.Budget.t ->
-  Thread.params -> Memory.t -> Thread.t -> bool
-
 (** A certification-memo context reusable across {!explore} calls — e.g.
     every context exploration of one adequacy row, or all tasks one sweep
-    worker domain executes.  Not domain-safe: never share one across
-    domains (that is the point — each worker owns its own).  Reuse never
-    changes verdicts or state counts, only timing and hit counts. *)
+    worker domain executes.  It owns the verdict table and the location
+    and program interners the canonical keys are built from, so keys of
+    explorations sharing it stay comparable.  Not domain-safe: never share
+    one across domains (that is the point — each worker owns its own).
+    Reuse never changes verdicts or state counts, only timing and hit
+    counts. *)
 type memo
 
 val make_memo : unit -> memo
 
 (** Cumulative certification-memo hits across all uses of this context. *)
 val memo_hits : memo -> int
+
+(** Fingerprint of the parameters certification verdicts depend on.  A
+    memo interns it once per {!explore} into the params id that leads
+    every key, so explorations under differing params can share one. *)
+val params_fingerprint : Thread.params -> string
 
 type result = {
   behaviors : Behavior_set.t;

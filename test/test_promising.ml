@@ -290,3 +290,99 @@ let sc_fences =
   ]
 
 let suite = suite @ sc_fences
+
+(* Pins of PS_na state dedup and certification-memo equivalence: the
+   (states, memo hits, behaviors) triple of every E4 catalog program and
+   every E15 grid row (the [ps] column) under a fresh memo, and of one
+   adequacy row whose target exploration reuses the memo its source
+   warmed.  A canonical key that merged or split visited states moves
+   [states]; one that merged or split certification entries moves the
+   memo hits, which no golden table shows. *)
+let pinned (states, memo_hits, behaviors) (r : M.result) =
+  Alcotest.(check (triple int int string))
+    "(states, memo hits, behaviors)"
+    (states, memo_hits, behaviors)
+    (r.M.states, r.M.memo_hits, Fmt.str "%a" M.pp_behaviors r.M.behaviors)
+
+(* keyed by program name: grid rows that reuse an E4 program appear once *)
+let ps_pins =
+  [
+    ("SB-rlx", (136, 2220, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
+    ("MP-rel-acq", (200, 1800, "{⟨0 ∥ 0⟩; ⟨0 ∥ 11⟩}"));
+    ("LB-rlx", (157, 2302, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
+    ("LB-data", (157, 2302, "{⟨0 ∥ 0⟩}"));
+    ("Ex-5.1", (647, 5329, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 1⟩; ⟨2 ∥ 1⟩; ⟨undef ∥ 1⟩}"));
+    ("WW-race", (1901, 29110, "{⊥; ⟨0 ∥ 0⟩}"));
+    ("RW-race", (216, 1215, "{⟨0 ∥ 0⟩; ⟨1 ∥ 0⟩; ⟨2 ∥ 0⟩; ⟨undef ∥ 0⟩}"));
+    ( "2+2W-rlx",
+      ( 3824,
+        160442,
+        "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 2⟩; ⟨0 ∥ 0 ∥ 10⟩; ⟨0 ∥ 0 ∥ 11⟩; \
+         ⟨0 ∥ 0 ∥ 12⟩; ⟨0 ∥ 0 ∥ 20⟩; ⟨0 ∥ 0 ∥ 21⟩; ⟨0 ∥ 0 ∥ 22⟩}" ) );
+    ("MP-fences", (290, 2636, "{⟨0 ∥ 0⟩; ⟨0 ∥ 11⟩}"));
+    ("SB-sc-fence", (208, 3158, "{⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
+    ("MP-rlx", (74, 967, "{⟨0 ∥ 0⟩; ⟨0 ∥ 10⟩; ⟨0 ∥ 11⟩}"));
+    ( "IRIW-rlx",
+      ( 3461,
+        67446,
+        "{⟨0 ∥ 0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 0 ∥ 10⟩; \
+         ⟨0 ∥ 0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 0 ∥ 1 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1 ∥ 1⟩; \
+         ⟨0 ∥ 0 ∥ 1 ∥ 10⟩; ⟨0 ∥ 0 ∥ 1 ∥ 11⟩; ⟨0 ∥ 0 ∥ 10 ∥ 0⟩; \
+         ⟨0 ∥ 0 ∥ 10 ∥ 1⟩; ⟨0 ∥ 0 ∥ 10 ∥ 10⟩; ⟨0 ∥ 0 ∥ 10 ∥ 11⟩; \
+         ⟨0 ∥ 0 ∥ 11 ∥ 0⟩; ⟨0 ∥ 0 ∥ 11 ∥ 1⟩; ⟨0 ∥ 0 ∥ 11 ∥ 10⟩; \
+         ⟨0 ∥ 0 ∥ 11 ∥ 11⟩}" ) );
+    ( "R-rlx",
+      ( 2414,
+        75690,
+        "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 2⟩; ⟨0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 0 ∥ 12⟩; \
+         ⟨0 ∥ 0 ∥ 21⟩; ⟨0 ∥ 0 ∥ 22⟩; ⟨0 ∥ 1 ∥ 0⟩; ⟨0 ∥ 1 ∥ 1⟩; ⟨0 ∥ 1 ∥ 2⟩; \
+         ⟨0 ∥ 1 ∥ 11⟩; ⟨0 ∥ 1 ∥ 12⟩; ⟨0 ∥ 1 ∥ 21⟩; ⟨0 ∥ 1 ∥ 22⟩}" ) );
+    ( "S-rlx",
+      ( 2698,
+        82193,
+        "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 2⟩; ⟨0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 0 ∥ 12⟩; \
+         ⟨0 ∥ 0 ∥ 21⟩; ⟨0 ∥ 0 ∥ 22⟩; ⟨0 ∥ 1 ∥ 0⟩; ⟨0 ∥ 1 ∥ 1⟩; ⟨0 ∥ 1 ∥ 2⟩; \
+         ⟨0 ∥ 1 ∥ 11⟩; ⟨0 ∥ 1 ∥ 12⟩; ⟨0 ∥ 1 ∥ 21⟩; ⟨0 ∥ 1 ∥ 22⟩}" ) );
+    ( "WRC-rlx",
+      ( 745,
+        13454,
+        "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 10⟩; ⟨0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 1 ∥ 0⟩; \
+         ⟨0 ∥ 1 ∥ 1⟩; ⟨0 ∥ 1 ∥ 10⟩; ⟨0 ∥ 1 ∥ 11⟩}" ) );
+    ("CoRR-rlx", (49, 419, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨0 ∥ 11⟩}"));
+  ]
+
+let key_pins =
+  let module C = Litmus.Catalog in
+  let programs =
+    C.concurrent_programs
+    @ List.filter
+        (fun (c : C.concurrent) -> not (List.memq c C.concurrent_programs))
+        (List.map (fun (ge : C.grid_entry) -> ge.C.g) C.grid_programs)
+  in
+  List.map
+    (fun (c : C.concurrent) ->
+      test ("key pin: " ^ c.C.cname ^ " under a fresh memo") (fun () ->
+          match List.assoc_opt c.C.cname ps_pins with
+          | None -> Alcotest.failf "no pin for %s" c.C.cname
+          | Some pin ->
+            pinned pin (M.explore (Parser.threads_of_string c.C.threads))))
+    programs
+  @ [
+      (* the explorations Adequacy.check_transformation runs for this
+         row: the source stops at ⊥ (it has none), the target shares the
+         source's memo; the row totals 11653 states and 183290 hits *)
+      test "key pin: na-write-then-rel x handover adequacy row" (fun () ->
+          let tr = Option.get (C.find_transformation "na-write-then-rel") in
+          let ctx = Parser.threads_of_string (List.assoc "handover" C.contexts) in
+          let memo = M.make_memo () in
+          pinned
+            (1144, 18487, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩}")
+            (M.explore ~until_bot:true ~memo
+               (Parser.stmt_of_string tr.C.src :: ctx));
+          pinned
+            (10509, 164803, "{⊥; ⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨0 ∥ 2⟩; ⟨0 ∥ undef⟩}")
+            (M.explore ~memo (Parser.stmt_of_string tr.C.tgt :: ctx));
+          Alcotest.(check int) "memo hits, cumulative" 183290 (M.memo_hits memo));
+    ]
+
+let suite = suite @ key_pins
