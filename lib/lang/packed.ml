@@ -35,12 +35,12 @@ type t = {
   domain : Domain.t;
   nlocs : int;
   locs : Loc.t array;  (* index -> location, sorted ascending *)
-  loc_index : (Loc.t, int) Hashtbl.t;
   full_mask : int;
   sets : Loc.Set.t array;  (* mask -> set, all 2^nlocs *)
   mutable values : Value.t array;  (* (id - 1) -> value; id 0 means "absent" *)
   value_ids : (Value.t, int) Hashtbl.t;
   mutable value_count : int;
+  mem_key : int array;  (* scratch key of [pack_mem], copied only on a miss *)
   mem_ids : (int array, int) Hashtbl.t;
   mutable mem_rev : Value.t Loc.Map.t array;  (* mem id -> memory *)
   mutable mem_count : int;
@@ -57,8 +57,6 @@ let make (d : Domain.t) : t =
   let locs = Array.of_list d.Domain.na_locs in
   let n = Array.length locs in
   if n > max_locs then raise Unpackable;
-  let loc_index = Hashtbl.create (2 * n + 1) in
-  Array.iteri (fun i x -> Hashtbl.replace loc_index x i) locs;
   let size = 1 lsl n in
   let sets = Array.make size Loc.Set.empty in
   for m = 1 to size - 1 do
@@ -79,12 +77,12 @@ let make (d : Domain.t) : t =
     domain = d;
     nlocs = n;
     locs;
-    loc_index;
     full_mask = size - 1;
     sets;
     values;
     value_ids;
     value_count = List.length vlist;
+    mem_key = Array.make n 0;
     mem_ids = Hashtbl.create 256;
     mem_rev = Array.make 16 Loc.Map.empty;
     mem_count = 0;
@@ -92,15 +90,22 @@ let make (d : Domain.t) : t =
     rel_cache = Array.make size None;
   }
 
-let loc_index t x =
-  match Hashtbl.find_opt t.loc_index x with
-  | Some i -> i
-  | None -> raise Unpackable
-
 let set_of_mask t m = t.sets.(m)
 
+(* [mask_of_set] and [pack_mem] run once per interned configuration, hit
+   or miss, so they walk the sorted location array instead of folding a
+   closure over the set or map; a set or memory with a location outside
+   the footprint shows up as a cardinality mismatch. *)
 let mask_of_set t (s : Loc.Set.t) : int =
-  Loc.Set.fold (fun x acc -> acc lor (1 lsl loc_index t x)) s 0
+  let m = ref 0 and found = ref 0 in
+  for i = 0 to t.nlocs - 1 do
+    if Loc.Set.mem t.locs.(i) s then begin
+      m := !m lor (1 lsl i);
+      incr found
+    end
+  done;
+  if !found <> Loc.Set.cardinal s then raise Unpackable;
+  !m
 
 (* Memories can hold values the program computed outside the domain
    (e.g. the sum of two domain values written non-atomically), so unseen
@@ -108,9 +113,9 @@ let mask_of_set t (s : Loc.Set.t) : int =
    hashing/equality, never for enumeration, which draws exclusively from
    the domain's own value list. *)
 let value_id t v =
-  match Hashtbl.find_opt t.value_ids v with
-  | Some i -> i
-  | None ->
+  match Hashtbl.find t.value_ids v with
+  | i -> i
+  | exception Not_found ->
     if t.value_count >= Array.length t.values then begin
       let grown = Array.make (2 * Array.length t.values) Value.Undef in
       Array.blit t.values 0 grown 0 t.value_count;
@@ -123,10 +128,20 @@ let value_id t v =
 
 let value_of_id t i = t.values.(i - 1)
 
-let intern_mem t (key : int array) (mem : Value.t Loc.Map.t) : int =
-  match Hashtbl.find_opt t.mem_ids key with
-  | Some id -> id
-  | None ->
+(* Fills [t.mem_key]; the table only ever stores copies of it. *)
+let pack_mem t (mem : Value.t Loc.Map.t) : int =
+  let key = t.mem_key and found = ref 0 in
+  for i = 0 to t.nlocs - 1 do
+    match Loc.Map.find t.locs.(i) mem with
+    | v ->
+      key.(i) <- value_id t v;
+      incr found
+    | exception Not_found -> key.(i) <- 0
+  done;
+  if !found <> Loc.Map.cardinal mem then raise Unpackable;
+  match Hashtbl.find t.mem_ids key with
+  | id -> id
+  | exception Not_found ->
     let id = t.mem_count in
     if id >= Array.length t.mem_rev then begin
       let grown = Array.make (2 * Array.length t.mem_rev) Loc.Map.empty in
@@ -135,13 +150,8 @@ let intern_mem t (key : int array) (mem : Value.t Loc.Map.t) : int =
     end;
     t.mem_rev.(id) <- mem;
     t.mem_count <- id + 1;
-    Hashtbl.replace t.mem_ids key id;
+    Hashtbl.replace t.mem_ids (Array.copy key) id;
     id
-
-let pack_mem t (mem : Value.t Loc.Map.t) : int =
-  let key = Array.make t.nlocs 0 in
-  Loc.Map.iter (fun x v -> key.(loc_index t x) <- value_id t v) mem;
-  intern_mem t key mem
 
 let mem_of_id t id = t.mem_rev.(id)
 

@@ -30,8 +30,8 @@ val full_mask : t -> int
 (** Mask of the whole non-atomic footprint, [2^nlocs - 1]. *)
 
 val mask_of_set : t -> Loc.Set.t -> int
-(** @raise Unpackable if the set contains a location outside the
-    domain's non-atomic footprint. *)
+(** Allocates nothing.  @raise Unpackable if the set contains a location
+    outside the domain's non-atomic footprint. *)
 
 val set_of_mask : t -> int -> Loc.Set.t
 (** O(1) table lookup; total on [0 .. full_mask]. *)
@@ -47,7 +47,9 @@ val value_of_id : t -> int -> Value.t
 val pack_mem : t -> Value.t Loc.Map.t -> int
 (** Intern a (partial) memory; equal memories get equal ids, and a
     location absent from the map is distinguished from any present
-    binding.  @raise Unpackable on foreign locations. *)
+    binding.  The key is built in a buffer owned by [t] and copied only
+    when the memory is new, so a hit allocates nothing.
+    @raise Unpackable on foreign locations. *)
 
 val mem_of_id : t -> int -> Value.t Loc.Map.t
 val mem_count : t -> int

@@ -34,7 +34,38 @@ let compare_state (a : state) (b : state) =
     let c = Option.compare Value.compare a.ret b.ret in
     if c <> 0 then c else Reg.Map.compare Value.compare a.regs b.regs
 
-let equal_state a b = compare_state a b = 0
+(* Agrees with [compare_state a b = 0] without [Reg.Map.compare], which
+   builds two enumerations per call: configuration interning runs this on
+   every hit, and the only allocation is the [for_all] closure. *)
+let equal_state (a : state) (b : state) =
+  a == b
+  || Stdlib.compare a.cont b.cont = 0
+     && Option.equal Value.equal a.ret b.ret
+     && Reg.Map.cardinal a.regs = Reg.Map.cardinal b.regs
+     && Reg.Map.for_all
+          (fun r v ->
+            match Reg.Map.find r b.regs with
+            | v' -> Value.equal v v'
+            | exception Not_found -> false)
+          a.regs
+
+(* Continuations are plain constructor trees; the default shallow
+   polymorphic hash discriminates well because two distinct remaining
+   programs differ near the root, and hashing deep would walk the whole
+   tree.  Collisions fall through to [equal_state], which also bails out
+   near the root.  Register files are maps, whose tree shape is
+   insertion-order dependent — fold in key order instead of hashing the
+   tree. *)
+let hash_state (st : state) =
+  let h = Hashtbl.hash st.cont in
+  let h =
+    match st.ret with
+    | None -> h
+    | Some v -> (h * 31) + Value.hash v + 17
+  in
+  Reg.Map.fold
+    (fun r v acc -> (((acc * 31) + Reg.hash r) * 31) + Value.hash v)
+    st.regs h
 
 let read_reg st r = Reg.Map.find_default ~default:Value.zero r st.regs
 let write_reg st r v = { st with regs = Reg.Map.add r v st.regs }

@@ -18,7 +18,14 @@ type state = {
 val init : ?regs:Value.t Reg.Map.t -> Stmt.t -> state
 
 val compare_state : state -> state -> int
+
 val equal_state : state -> state -> bool
+(** [equal_state a b = (compare_state a b = 0)]; allocates at most one
+    closure. *)
+
+val hash_state : state -> int
+(** Equal states hash equal, whatever the tree shapes of their register
+    maps. *)
 
 val read_reg : state -> Reg.t -> Value.t
 val write_reg : state -> Reg.t -> Value.t -> state

@@ -13,7 +13,13 @@
       (beh-rel-write);
     - partial behaviors are matched by letting the source run further
       (without acquires, for every oracle) until its writes cover
-      F_tgt ∪ R ({!can_fulfill_universally}, rule beh-partial). *)
+      F_tgt ∪ R ({!can_fulfill_universally}, rule beh-partial).
+
+    As in {!Refine}, a set-based reference ({!Slow}) and a fast path over
+    {!Core} ids decide the same game; the fast path hands its pairs to
+    {!Pair_graph.solve} with the commitment set as a mask, memoizes the
+    suffix games per configuration id, and recomputes the source's
+    answers at every pair. *)
 
 open Lang
 
@@ -548,64 +554,50 @@ let suffix_id_ops (core : Core.t) (budget : Engine.Budget.t) =
   in
   (can_fail_id, can_fulfill_id)
 
-(* An [answer] at the id level: commitment mask, target id, source id. *)
-type fanswer = FConst of bool | FDep of int * int * int
-
-(* Same structure as [Refine.solve_fast], with the commitment mask
-   threaded through pair keys and answer-memo keys.  Identical phase-1
-   DFS (same pair set, order, and budget spend points as the reference);
-   gfp by reverse-dependency propagation.  The source's answer to one
-   target move is a function of (commit mask, source line-end id, target
-   line-end id, move index), so answers are shared between every pair
-   reaching the same post-line frontier under the same commitment. *)
+(* Same structure as [Refine.solve_fast], with the commitment mask as
+   the first component of every {!Pair_graph} pair. *)
 let solve_fast ?(budget = Engine.Budget.unlimited) (core : Core.t)
     (d : Domain.t) (roots : pair list) : bool * int =
   let pk = Core.packed core in
   let can_fail_id, can_fulfill_id = suffix_id_ops core budget in
   let mask_of = Packed.mask_of_set pk in
-  (* Mirrors [consume] at id granularity; [commit]/[cmask] are the same
-     set in both representations. *)
-  let rec consume_fast ~commit ~cmask (point : src_point)
-      (evs : Event.t list) (next_t : int) : fanswer =
+  (* Mirrors [consume] at id granularity: [consume_id] answers from a
+     plain source configuration with a known id, [consume_point] from any
+     point; [commit]/[cmask] are the same set in both representations. *)
+  let rec consume_id ~commit ~cmask (sid : int) (evs : Event.t list)
+      (next_t : int) : Pair_graph.answer =
     match evs with
     | [] ->
-      (match point with
-       | Pend_rel _ | Pend_acq _ -> FConst false
-       | Plain scfg ->
-         let sid = Core.intern core scfg in
-         if next_t < 0 then FConst (can_fail_id sid)
-         else FDep (cmask, next_t, sid))
+      if next_t >= 0 then Pair_graph.Dep (cmask, next_t, sid)
+      else Const (can_fail_id sid)
     | ev :: rest ->
-      (match point with
-       | Pend_rel _ | Pend_acq _ ->
-         (match respond_pending ~commit point ev with
+      (match (Core.line_id core sid).Config.line_end with
+       | Config.L_bot -> Const true
+       | Config.L_label scfg' ->
+         (match respond1 ~commit scfg' ev with
           | `Ok (commit', point') ->
-            consume_fast ~commit:commit' ~cmask:(mask_of commit') point' rest
-              next_t
-          | `Bot -> FConst true
-          | `No -> FConst false)
-       | Plain scfg ->
-         let sid = Core.intern core scfg in
-         let ln = Core.line_id core sid in
-         (match ln.Config.line_end with
-          | Config.L_bot -> FConst true
-          | Config.L_label scfg' ->
-            (match respond1 ~commit scfg' ev with
-             | `Ok (commit', point') ->
-               consume_fast ~commit:commit' ~cmask:(mask_of commit') point'
-                 rest next_t
-             | `Bot -> FConst true
-             | `No ->
-               (* the source may still escape via late UB for every oracle *)
-               FConst (can_fail_id sid))
-          | Config.L_term _ | Config.L_diverge -> FConst (can_fail_id sid)))
+            consume_point ~commit:commit' point' rest next_t
+          | `Bot -> Const true
+          | `No ->
+            (* the source may still escape via late UB for every oracle *)
+            Const (can_fail_id sid))
+       | Config.L_term _ | Config.L_diverge -> Const (can_fail_id sid))
+  and consume_point ~commit (point : src_point) evs next_t :
+      Pair_graph.answer =
+    let cmask = mask_of commit in
+    match point, evs with
+    | Plain scfg, _ ->
+      consume_id ~commit ~cmask (Core.intern core scfg) evs next_t
+    | (Pend_rel _ | Pend_acq _), [] -> Const false
+    | (Pend_rel _ | Pend_acq _), ev :: rest ->
+      (match respond_pending ~commit point ev with
+       | `Ok (commit', point') ->
+         consume_point ~commit:commit' point' rest next_t
+       | `Bot -> Const true
+       | `No -> Const false)
   in
-  (* (commit mask, source line-end id, target line-end id, move index) *)
-  let answer_memo : (int * int * int * int, fanswer) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let analyze_fast (cmask : int) (tid : int) (sid : int) :
-      bool * fanswer list =
+  let analyze (cmask : int) (tid : int) (sid : int) :
+      bool * Pair_graph.answer list =
     (* Fig 6: [forall-Omega exists bottom-suffix] disjunct first — it
        matches everything. *)
     if can_fail_id sid then (true, [])
@@ -644,106 +636,23 @@ let solve_fast ?(budget = Engine.Budget.unlimited) (core : Core.t)
              let t'id = Core.line_next core tid in
              let s'id = Core.line_next core sid in
              let commit = Packed.set_of_mask pk cmask in
-             let moves = Core.moves_id core t'id in
              let nexts = Core.moves_next core t'id in
-             let answers =
+             ( true,
                List.mapi
                  (fun k (evs, _) ->
-                   let key = (cmask, s'id, t'id, k) in
-                   match Hashtbl.find_opt answer_memo key with
-                   | Some a -> a
-                   | None ->
-                     let a =
-                       consume_fast ~commit ~cmask
-                         (Plain (Core.cfg core s'id))
-                         evs nexts.(k)
-                     in
-                     Hashtbl.add answer_memo key a;
-                     a)
-                 moves
-             in
-             (true, answers)
+                   consume_id ~commit ~cmask s'id evs nexts.(k))
+                 (Core.moves_id core t'id) )
            | Config.L_bot (* would have been caught by the escape *)
            | Config.L_term _ | Config.L_diverge ->
              (false, []))
   in
-  let pair_ids : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let local_ok = ref (Bytes.make 64 '\001') in
-  let deps = ref (Array.make 64 [||]) in
-  let count = ref 0 in
-  let ensure n =
-    if n > Bytes.length !local_ok then begin
-      let lo = Bytes.make (2 * Bytes.length !local_ok) '\001' in
-      Bytes.blit !local_ok 0 lo 0 (Bytes.length !local_ok);
-      local_ok := lo;
-      let dp = Array.make (2 * Array.length !deps) [||] in
-      Array.blit !deps 0 dp 0 (Array.length !deps);
-      deps := dp
-    end
-  in
-  let rec explore (cmask : int) (tid : int) (sid : int) : int =
-    let key = (cmask, tid, sid) in
-    match Hashtbl.find_opt pair_ids key with
-    | Some pid -> pid
-    | None ->
-      Engine.Budget.spend_state budget;
-      let pid = !count in
-      incr count;
-      ensure !count;
-      Hashtbl.add pair_ids key pid;
-      let node_ok, node_deps = analyze_fast cmask tid sid in
-      let ok = ref node_ok in
-      let dep_ids =
-        List.filter_map
-          (function
-            | FConst true -> None
-            | FConst false ->
-              ok := false;
-              None
-            | FDep (c, t, s) -> Some (explore c t s))
-          node_deps
-      in
-      if not !ok then Bytes.set !local_ok pid '\000';
-      !deps.(pid) <- Array.of_list dep_ids;
-      pid
-  in
-  let root_ids =
-    List.map
-      (fun p ->
-        explore (mask_of p.commit) (Core.intern core p.tgt)
-          (Core.intern core p.src))
-      roots
-  in
-  let n = !count in
-  let rdeps = Array.make (max n 1) [] in
-  for pid = 0 to n - 1 do
-    Array.iter (fun q -> rdeps.(q) <- pid :: rdeps.(q)) !deps.(pid)
-  done;
-  let alive = Array.make (max n 1) true in
-  let stack = ref [] in
-  for pid = 0 to n - 1 do
-    if Bytes.get !local_ok pid = '\000' then begin
-      alive.(pid) <- false;
-      stack := pid :: !stack
-    end
-  done;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | pid :: rest ->
-      stack := rest;
-      Engine.Budget.check budget;
-      List.iter
-        (fun r ->
-          if alive.(r) then begin
-            alive.(r) <- false;
-            stack := r :: !stack
-          end)
-        rdeps.(pid);
-      drain ()
-  in
-  drain ();
-  (List.for_all (fun pid -> alive.(pid)) root_ids, n)
+  Pair_graph.solve ~budget ~analyze
+    (List.map
+       (fun p ->
+         let cmask = mask_of p.commit in
+         let tid = Core.intern core p.tgt in
+         (cmask, tid, Core.intern core p.src))
+       roots)
 
 let check_pairs_count ?budget (d : Domain.t) (roots : pair list) :
     bool * int =

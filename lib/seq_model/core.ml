@@ -20,7 +20,13 @@
     Both memos return the {e very} values the uncached functions would:
     fidelity is locked by test/test_diffcore.ml, which checks verdicts
     {e and} explored pair counts against the set-based reference
-    implementations ([Refine.Slow], [Advanced.Slow]). *)
+    implementations ([Refine.Slow], [Advanced.Slow]).
+
+    Interning runs once per configuration a game or enumeration reaches,
+    so its hit path is kept nearly allocation-free (see {!intern}); the
+    games themselves never re-intern a configuration whose id they hold
+    (a line end is reached through {!line_next}).  The pair graph the
+    games build over these ids is solved by {!Pair_graph}. *)
 
 open Lang
 
@@ -28,24 +34,17 @@ module Prog_tbl = Hashtbl.Make (struct
   type t = Prog.state
 
   let equal = Prog.equal_state
+  let hash = Prog.hash_state
+end)
 
-  (* Continuations are plain constructor trees; the default shallow
-     polymorphic hash discriminates well because two distinct remaining
-     programs differ near the root, and hashing deep would make every
-     intern walk the whole tree.  Collisions fall through to
-     [equal_state], which also bails out near the root.  Register files
-     are maps, whose tree shape is insertion-order dependent — fold in
-     key order instead of hashing the tree. *)
-  let hash (st : Prog.state) =
-    let h = Hashtbl.hash st.Prog.cont in
-    let h =
-      match st.Prog.ret with
-      | None -> h
-      | Some v -> (h * 31) + Value.hash v + 17
-    in
-    Reg.Map.fold
-      (fun r v acc -> (((acc * 31) + Reg.hash r) * 31) + Value.hash v)
-      st.Prog.regs h
+(* (prog id, perm mask, written mask, mem id) *)
+module Cfg_tbl = Hashtbl.Make (struct
+  type t = int * int * int * int
+
+  let equal ((p, a, b, m) : t) ((p', a', b', m') : t) =
+    p = p' && a = a' && b = b' && m = m'
+
+  let hash = Hashtbl.hash
 end)
 
 type t = {
@@ -54,8 +53,7 @@ type t = {
   pk : Packed.t;
   prog_ids : int Prog_tbl.t;
   mutable prog_count : int;
-  (* (prog id, perm mask, written mask, mem id) -> configuration id *)
-  cfg_ids : (int * int * int * int, int) Hashtbl.t;
+  cfg_ids : int Cfg_tbl.t;
   mutable cfg_rev : Config.t array;  (* id -> first-interned representative *)
   mutable cfg_key : (int * int * int * int) array;  (* id -> packed quad *)
   mutable cfg_count : int;
@@ -78,7 +76,7 @@ let of_tables (tables : Config.tables) : t =
     pk;
     prog_ids = Prog_tbl.create 64;
     prog_count = 0;
-    cfg_ids = Hashtbl.create 64;
+    cfg_ids = Cfg_tbl.create 64;
     cfg_rev = Array.make 64 (Config.make (Prog.init Stmt.Skip));
     cfg_key = Array.make 64 dummy_key;
     cfg_count = 0;
@@ -100,9 +98,9 @@ let packed t = t.pk
 let cfg_count t = t.cfg_count
 
 let prog_id t (st : Prog.state) : int =
-  match Prog_tbl.find_opt t.prog_ids st with
-  | Some i -> i
-  | None ->
+  match Prog_tbl.find t.prog_ids st with
+  | i -> i
+  | exception Not_found ->
     let i = t.prog_count in
     t.prog_count <- i + 1;
     Prog_tbl.add t.prog_ids st i;
@@ -136,23 +134,25 @@ let grow t =
 (** Intern a configuration.  @raise Lang.Packed.Unpackable when its
     permission or written set leaves the domain's non-atomic footprint
     (reachable configurations of packable roots never do — permissions
-    only shrink on release and grow within the domain on acquire). *)
+    only shrink on release and grow within the domain on acquire).
+
+    A hit allocates only the probe quad and {!Lang.Prog.equal_state}'s
+    closure: the memory is packed into {!Lang.Packed}'s scratch key, and
+    the masks are computed without closures. *)
 let intern t (cfg : Config.t) : int =
-  let key =
-    ( prog_id t cfg.Config.prog,
-      Packed.mask_of_set t.pk cfg.Config.perm,
-      Packed.mask_of_set t.pk cfg.Config.written,
-      Packed.pack_mem t.pk cfg.Config.mem )
-  in
-  match Hashtbl.find_opt t.cfg_ids key with
-  | Some id -> id
-  | None ->
+  let m = Packed.pack_mem t.pk cfg.Config.mem in
+  let w = Packed.mask_of_set t.pk cfg.Config.written in
+  let p = Packed.mask_of_set t.pk cfg.Config.perm in
+  let key = (prog_id t cfg.Config.prog, p, w, m) in
+  match Cfg_tbl.find t.cfg_ids key with
+  | id -> id
+  | exception Not_found ->
     let id = t.cfg_count in
     if id >= Array.length t.cfg_rev then grow t;
     t.cfg_rev.(id) <- cfg;
     t.cfg_key.(id) <- key;
     t.cfg_count <- id + 1;
-    Hashtbl.add t.cfg_ids key id;
+    Cfg_tbl.add t.cfg_ids key id;
     id
 
 let cfg t id = t.cfg_rev.(id)

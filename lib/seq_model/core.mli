@@ -25,10 +25,15 @@ val tables : t -> Config.tables
 val packed : t -> Packed.t
 
 val intern : t -> Config.t -> int
-(** Dense id of a configuration; equal configurations get equal ids.
-    @raise Lang.Packed.Unpackable if the configuration's permission or
-    written set leaves the domain's non-atomic footprint (reachable
-    configurations of packable roots never do). *)
+(** Dense id of a configuration; equal configurations get equal ids, and
+    [intern t (cfg t id) = id].  A hit allocates only the probe quad
+    (five words) and at most one closure: the program state is compared
+    with {!Lang.Prog.equal_state}, the memory is packed into the
+    {!Lang.Packed} scratch key, and neither mask builds a closure.  A miss also copies
+    the key and may grow the tables.
+    @raise Lang.Packed.Unpackable if the configuration's permission set,
+    written set or memory leaves the domain's non-atomic footprint
+    (reachable configurations of packable roots never do). *)
 
 val cfg : t -> int -> Config.t
 (** The first-interned representative of an id. *)

@@ -19,7 +19,14 @@
 
     The set of reachable pairs is explored, then a greatest fixpoint prunes
     pairs whose obligations fail — sound for the safety-style (partial,
-    non-termination-preserving) refinement of the paper. *)
+    non-termination-preserving) refinement of the paper.
+
+    Two solvers decide the game: the set-based reference ({!Slow}, which
+    also drives counterexample extraction) and the fast path over
+    {!Core} configuration ids, whose pair graph {!Pair_graph.solve}
+    explores and prunes with the same pair set, order and budget spend
+    points.  Each pair recomputes the source's answers to the target's
+    moves; nothing is shared between pairs but the {!Core} memos. *)
 
 open Lang
 
@@ -340,67 +347,43 @@ module Slow = struct
     fst (check_pairs_count ?budget d roots)
 end
 
-(* Fast path: configurations hash-consed to dense ids in a {!Core}
-   context (which also memoizes lines and move lists), pairs interned by
-   id pair, and the whole game threaded at the id level — a
-   configuration is hashed once, when first discovered as a line or
-   move successor, and every later reference is an array index.  The
-   source's answer to one target move is a pure function of (source
-   line-end id, target line-end id, move index), so answers are
-   memoized and shared between every pair that reaches the same
-   post-line frontier.  Phase 1 runs the identical DFS — same pair set,
-   same order, same budget spend points — so the explored pair count
-   matches the reference exactly.  Phase 2 computes the same greatest
-   fixpoint by reverse-dependency propagation: a pair dies iff its
-   local obligations fail or it depends, transitively, on a dead pair —
-   O(pairs + deps) instead of repeated full passes. *)
-
-(* An [answer] at the id level. *)
-type fanswer = FConst of bool | FDep of int * int  (* tgt id, src id *)
-
-let solve_fast ?(budget = Engine.Budget.unlimited) (core : Core.t)
-    (d : Domain.t) (roots : pair list) : bool * int =
-  (* Mirrors [consume]: walk the source through one target move's label
-     list, at id granularity.  [next_t] is the interned continuation of
-     the move (-1 for [Bot]). *)
-  let rec consume_fast (point : src_point) (evs : Event.t list)
-      (next_t : int) : fanswer =
+(* Fast path: the game over {!Core} configuration ids (lines and move
+   lists memoized per id), solved by {!Pair_graph} with commitment mask
+   0.  The source starts answering each target move at its line end,
+   whose id the line memo holds; only the configurations it reaches
+   along the move's labels go through [Core.intern]. *)
+let solve_fast ?budget (core : Core.t) (d : Domain.t) (roots : pair list) :
+    bool * int =
+  (* Mirrors [consume], at id granularity: [consume_id] answers from a
+     plain source configuration with a known id, [consume_point] from any
+     point.  [next_t] is the interned continuation of the move (-1 for
+     [Bot]). *)
+  let rec consume_id (sid : int) (evs : Event.t list) (next_t : int) :
+      Pair_graph.answer =
     match evs with
     | [] ->
-      (match point with
-       | Pend_rel _ | Pend_acq _ -> FConst false
-       | Plain scfg ->
-         let sid = Core.intern core scfg in
-         if next_t < 0 then
-           let ln = Core.line_id core sid in
-           FConst (ln.Config.line_end = Config.L_bot)
-         else FDep (next_t, sid))
+      if next_t >= 0 then Pair_graph.Dep (0, next_t, sid)
+      else Const ((Core.line_id core sid).Config.line_end = Config.L_bot)
     | ev :: rest ->
-      (match point with
-       | Pend_rel _ | Pend_acq _ ->
-         (match respond_pending point ev with
-          | `Ok point' -> consume_fast point' rest next_t
-          | `Bot -> FConst true
-          | `No -> FConst false)
-       | Plain scfg ->
-         let sid = Core.intern core scfg in
-         let ln = Core.line_id core sid in
-         (match ln.Config.line_end with
-          | Config.L_bot -> FConst true
-          | Config.L_label scfg' ->
-            (match respond1 scfg' ev with
-             | `Ok point' -> consume_fast point' rest next_t
-             | `Bot -> FConst true
-             | `No -> FConst false)
-          | Config.L_term _ | Config.L_diverge -> FConst false))
-  in
-  (* (source line-end id, target line-end id, move index) -> answer *)
-  let answer_memo : (int * int * int, fanswer) Hashtbl.t =
-    Hashtbl.create 64
+      (match (Core.line_id core sid).Config.line_end with
+       | Config.L_bot -> Const true
+       | Config.L_label scfg' -> continue (respond1 scfg' ev) rest next_t
+       | Config.L_term _ | Config.L_diverge -> Const false)
+  and consume_point (point : src_point) evs next_t : Pair_graph.answer =
+    match point, evs with
+    | Plain scfg, _ -> consume_id (Core.intern core scfg) evs next_t
+    | (Pend_rel _ | Pend_acq _), [] -> Const false
+    | (Pend_rel _ | Pend_acq _), ev :: rest ->
+      continue (respond_pending point ev) rest next_t
+  and continue r rest next_t =
+    match r with
+    | `Ok point' -> consume_point point' rest next_t
+    | `Bot -> Const true
+    | `No -> Const false
   in
   (* [analyze] at the id level: local obligations plus one answer per
      instantiated target move. *)
-  let analyze_fast (tid : int) (sid : int) : bool * fanswer list =
+  let analyze _ (tid : int) (sid : int) : bool * Pair_graph.answer list =
     let ln_t = Core.line_id core tid in
     let ln_s = Core.line_id core sid in
     if ln_s.Config.line_end = Config.L_bot then (true, [])
@@ -426,101 +409,19 @@ let solve_fast ?(budget = Engine.Budget.unlimited) (core : Core.t)
          | Config.L_label _ ->
            let t'id = Core.line_next core tid in
            let s'id = Core.line_next core sid in
-           let moves = Core.moves_id core t'id in
            let nexts = Core.moves_next core t'id in
-           let answers =
+           ( true,
              List.mapi
-               (fun k (evs, _) ->
-                 let key = (s'id, t'id, k) in
-                 match Hashtbl.find_opt answer_memo key with
-                 | Some a -> a
-                 | None ->
-                   let a =
-                     consume_fast (Plain (Core.cfg core s'id)) evs nexts.(k)
-                   in
-                   Hashtbl.add answer_memo key a;
-                   a)
-               moves
-           in
-           (true, answers)
+               (fun k (evs, _) -> consume_id s'id evs nexts.(k))
+               (Core.moves_id core t'id) )
          | Config.L_bot | Config.L_term _ | Config.L_diverge -> (false, []))
   in
-  let pair_ids : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let local_ok = ref (Bytes.make 64 '\001') in
-  let deps = ref (Array.make 64 [||]) in
-  let count = ref 0 in
-  let ensure n =
-    if n > Bytes.length !local_ok then begin
-      let lo = Bytes.make (2 * Bytes.length !local_ok) '\001' in
-      Bytes.blit !local_ok 0 lo 0 (Bytes.length !local_ok);
-      local_ok := lo;
-      let dp = Array.make (2 * Array.length !deps) [||] in
-      Array.blit !deps 0 dp 0 (Array.length !deps);
-      deps := dp
-    end
-  in
-  let rec explore (tid : int) (sid : int) : int =
-    let key = (tid, sid) in
-    match Hashtbl.find_opt pair_ids key with
-    | Some pid -> pid
-    | None ->
-      Engine.Budget.spend_state budget;
-      let pid = !count in
-      incr count;
-      ensure !count;
-      (* register before analyzing to cut cycles, like the stub above *)
-      Hashtbl.add pair_ids key pid;
-      let node_ok, node_deps = analyze_fast tid sid in
-      let ok = ref node_ok in
-      let dep_ids =
-        List.filter_map
-          (function
-            | FConst true -> None
-            | FConst false ->
-              ok := false;
-              None
-            | FDep (t, s) -> Some (explore t s))
-          node_deps
-      in
-      if not !ok then Bytes.set !local_ok pid '\000';
-      !deps.(pid) <- Array.of_list dep_ids;
-      pid
-  in
-  let root_ids =
-    List.map
-      (fun p -> explore (Core.intern core p.tgt) (Core.intern core p.src))
-      roots
-  in
-  let n = !count in
-  let rdeps = Array.make (max n 1) [] in
-  for pid = 0 to n - 1 do
-    Array.iter (fun q -> rdeps.(q) <- pid :: rdeps.(q)) !deps.(pid)
-  done;
-  let alive = Array.make (max n 1) true in
-  let stack = ref [] in
-  for pid = 0 to n - 1 do
-    if Bytes.get !local_ok pid = '\000' then begin
-      alive.(pid) <- false;
-      stack := pid :: !stack
-    end
-  done;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | pid :: rest ->
-      stack := rest;
-      Engine.Budget.check budget;
-      List.iter
-        (fun r ->
-          if alive.(r) then begin
-            alive.(r) <- false;
-            stack := r :: !stack
-          end)
-        rdeps.(pid);
-      drain ()
-  in
-  drain ();
-  (List.for_all (fun pid -> alive.(pid)) root_ids, n)
+  Pair_graph.solve ?budget ~analyze
+    (List.map
+       (fun p ->
+         let tid = Core.intern core p.tgt in
+         (0, tid, Core.intern core p.src))
+       roots)
 
 (** Decide simple behavioral refinement from a set of initial configuration
     pairs (target, source) that share P, F, M, also reporting the number of

@@ -334,4 +334,138 @@ let contract_suite =
           (Domain.subsets d.Domain.na_locs));
   ]
 
-let suite = corpus_suite @ jobs_suite @ qcheck_suite @ contract_suite
+(* --------------------------------------------------------------- *)
+(* Configuration interning                                          *)
+(* --------------------------------------------------------------- *)
+
+(* The same register bindings, inserted in ascending or descending key
+   order: with four or more bindings the two maps have different tree
+   shapes. *)
+let rebuild_regs ~descending (st : Prog.state) : Prog.state =
+  let bs = Reg.Map.bindings st.Prog.regs in
+  let bs = if descending then List.rev bs else bs in
+  {
+    st with
+    Prog.regs =
+      List.fold_left (fun m (r, v) -> Reg.Map.add r v m) Reg.Map.empty bs;
+  }
+
+let extra_regs (st : Prog.state) : Prog.state =
+  {
+    st with
+    Prog.regs =
+      List.fold_left
+        (fun m (r, v) -> Reg.Map.add (Reg.make r) (Value.Int v) m)
+        st.Prog.regs
+        [ ("p", 0); ("q", 1); ("r", 0); ("s", 1) ];
+  }
+
+let prog_key_agrees a b =
+  let eq = Prog.compare_state a b = 0 in
+  Prog.equal_state a b = eq
+  && ((not eq) || Prog.hash_state a = Prog.hash_state b)
+
+let key_cfg =
+  { gen_cfg with Gen.regs = List.map Reg.make [ "a"; "b"; "c"; "d" ] }
+
+let qcheck_prog_key =
+  QCheck.Test.make
+    ~name:"Prog.equal_state and Prog.hash_state agree with Prog.compare_state"
+    ~count:25
+    (stmt_arbitrary key_cfg ~size:6)
+    (fun p ->
+      let d = Domain.of_stmts [ p ] in
+      let states =
+        List.map
+          (fun (c : Seq_model.Config.t) -> c.Seq_model.Config.prog)
+          (reachable d p ~cap:40)
+      in
+      let variants st =
+        let big = extra_regs st in
+        let asc = rebuild_regs ~descending:false big
+        and desc = rebuild_regs ~descending:true big in
+        (* the point of the variants: equal states, different trees *)
+        if Stdlib.compare asc.Prog.regs desc.Prog.regs = 0 then
+          QCheck.Test.fail_report "rebuilt register trees share a shape";
+        [
+          st;
+          rebuild_regs ~descending:false st;
+          rebuild_regs ~descending:true st;
+          asc;
+          desc;
+        ]
+      in
+      let all = List.concat_map variants states in
+      List.for_all (fun a -> List.for_all (prog_key_agrees a) all) all)
+
+let contract_programs =
+  "a = X.load(na); b = a + 1; c = b + 1; d = c + 1; X.store(na, d); \
+   e = Y.load(acq); W.store(na, e); Y.store(rel, 1); return a"
+  :: sample_programs
+
+(* A structurally equal configuration sharing no program state, set or
+   map with [cfg]. *)
+let deep_copy (cfg : Seq_model.Config.t) : Seq_model.Config.t =
+  let open Seq_model.Config in
+  let st = rebuild_regs ~descending:true cfg.prog in
+  {
+    prog =
+      {
+        st with
+        Prog.cont = Marshal.from_string (Marshal.to_string st.Prog.cont []) 0;
+      };
+    perm = Loc.Set.of_list (List.rev (Loc.Set.elements cfg.perm));
+    written = Loc.Set.of_list (List.rev (Loc.Set.elements cfg.written));
+    mem = Loc.Map.of_seq (List.to_seq (List.rev (Loc.Map.bindings cfg.mem)));
+  }
+
+let intern_suite =
+  [
+    QCheck_alcotest.to_alcotest ~long:false qcheck_prog_key;
+    Alcotest.test_case "interning: stable ids, allocation-free hits, \
+                        Unpackable outside the footprint" `Quick (fun () ->
+        List.iter
+          (fun srcp ->
+            let p = Parser.stmt_of_string srcp in
+            let d = Domain.of_stmts [ p ] in
+            match Seq_model.Core.create d with
+            | None -> Alcotest.fail "sample domain should pack"
+            | Some core ->
+              let intern = Seq_model.Core.intern core in
+              let cfgs = Array.of_list (reachable d p ~cap:500) in
+              let ids = Array.map intern cfgs in
+              let n = Seq_model.Core.cfg_count core in
+              Alcotest.(check (array int)) "re-interning cfg id gives id" ids
+                (Array.map (fun id -> intern (Seq_model.Core.cfg core id)) ids);
+              let copies = Array.map deep_copy cfgs in
+              Alcotest.(check (array int)) "deep copies get the same ids" ids
+                (Array.map intern copies);
+              Alcotest.(check int) "no new configurations" n
+                (Seq_model.Core.cfg_count core);
+              let hits = 10_000 in
+              let before = Gc.minor_words () in
+              for k = 0 to hits - 1 do
+                ignore (intern copies.(k mod Array.length copies))
+              done;
+              let per_hit = (Gc.minor_words () -. before) /. float hits in
+              if per_hit > 16. then
+                Alcotest.failf "%s: %.1f words per hit (at most 16)" srcp
+                  per_hit;
+              let base = cfgs.(0) in
+              let foreign = Loc.make "Q" in
+              let unpackable name cfg =
+                match intern cfg with
+                | _ -> Alcotest.failf "%s: interned" name
+                | exception Packed.Unpackable -> ()
+              in
+              unpackable "foreign permission"
+                { base with perm = Loc.Set.add foreign base.perm };
+              unpackable "foreign written location"
+                { base with written = Loc.Set.add foreign base.written };
+              unpackable "foreign memory binding"
+                { base with mem = Loc.Map.add foreign Value.zero base.mem })
+          contract_programs);
+  ]
+
+let suite =
+  corpus_suite @ jobs_suite @ qcheck_suite @ contract_suite @ intern_suite
