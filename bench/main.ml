@@ -934,10 +934,21 @@ let guided_fuzz_table ~pool ~robust () =
 (* Both sides run the same roots in the same process, so the speedup
    column is a ratio of two measurements under identical load —
    machine-independent, which is what the CI regression guard
-   (bench/guard.ml) compares against bench/baseline.json.  Verdicts and
-   explored pair counts must agree exactly (also enforced corpus-wide by
+   (bench/guard.ml) compares against bench/baseline.json.  The three
+   small rows (totals of tens of ms) are timed as [e12_batches]
+   alternating slow/fast batches of [reps] passes each and report the
+   median batch times and the median batch ratio, so one disturbed
+   batch cannot move the speedup.  Verdicts and explored pair counts
+   must agree exactly (also enforced corpus-wide by
    test/test_diffcore.ml); a disagreement here is counted as a
    mismatch. *)
+let e12_batches = 9
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
 let enumcore_table () =
   let title =
     "E12 — enumeration core: packed/memoized checkers vs the set-based \
@@ -1077,20 +1088,41 @@ let enumcore_table () =
       (fun (name, reps, slow, fast) ->
         (* at reps = 1 the counting pass doubles as the timed pass (the
            enumeration row's slow side is tens of seconds) *)
-        let timed_count reps f =
+        let timed_count f =
           Engine.Stats.timed (fun () ->
               let n = ref 0 in
               for _ = 1 to reps do n := f () done;
               !n)
         in
-        let slow_pairs, slow_ms = timed_count reps slow in
-        let fast_pairs, fast_ms = timed_count reps fast in
-        if slow_pairs <> fast_pairs then begin
-          incr mismatches;
-          Fmt.pr "-- ERROR: %s explored %d pairs fast vs %d slow@." name
-            fast_pairs slow_pairs
-        end;
-        let speedup = if fast_ms > 0. then slow_ms /. fast_ms else 0. in
+        let batches = if reps = 1 then 1 else e12_batches in
+        (* (slow pairs, slow ms, fast pairs, fast ms) per batch; odd
+           batches run the fast side first *)
+        let runs =
+          List.init batches (fun b ->
+              if b mod 2 = 0 then
+                let sp, sms = timed_count slow in
+                let fp, fms = timed_count fast in
+                (sp, sms, fp, fms)
+              else
+                let fp, fms = timed_count fast in
+                let sp, sms = timed_count slow in
+                (sp, sms, fp, fms))
+        in
+        (match List.find_opt (fun (sp, _, fp, _) -> sp <> fp) runs with
+         | Some (slow_pairs, _, fast_pairs, _) ->
+           incr mismatches;
+           Fmt.pr "-- ERROR: %s explored %d pairs fast vs %d slow@." name
+             fast_pairs slow_pairs
+         | None -> ());
+        let fast_pairs = match runs with (_, _, fp, _) :: _ -> fp | [] -> 0 in
+        let slow_ms = median (List.map (fun (_, s, _, _) -> s) runs) in
+        let fast_ms = median (List.map (fun (_, _, _, f) -> f) runs) in
+        let speedup =
+          median
+            (List.map
+               (fun (_, s, _, f) -> if f > 0. then s /. f else 0.)
+               runs)
+        in
         Fmt.pr "%-20s %8d %5d %10.1f %10.1f %8.1fx@." name fast_pairs reps
           slow_ms fast_ms speedup;
         J.Obj
@@ -1102,6 +1134,8 @@ let enumcore_table () =
             ("speedup", J.Float speedup) ])
       rows
   in
+  Fmt.pr "-- rows with reps > 1: medians of %d alternating slow/fast \
+          batches of reps passes each@." e12_batches;
   add_table "E12" title jrows
 
 (* ------------------------------------------------------------------ *)

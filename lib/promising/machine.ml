@@ -10,7 +10,9 @@
     Explored states are deduplicated up to order-isomorphism of the
     per-location timestamp orders (timestamp values never matter beyond
     their relative order and attachment structure), which keeps litmus
-    explorations finite. *)
+    explorations finite.  Within one exploration each thread
+    configuration is expanded and certified once (the expansion cache,
+    see {!explore}). *)
 
 open Lang
 
@@ -63,13 +65,17 @@ end)
    certification table serves explorations under differing params.
 
    Keys are built into one reusable buffer, and a lookup probes the
-   tables with the buffer itself; only a key that is stored is copied
-   out into an [int array] of its own ({!Key.stored}). *)
+   tables with the buffer itself.  A key that outlives its search is
+   copied out into an [int array] of its own ({!Key.stored}); the keys
+   a certification search visits are copied into the memo's reusable
+   arena instead ({!arena_key}). *)
 module Key = struct
-  type t = { ints : int array; len : int }  (** the first [len] ints *)
+  type t = { ints : int array; off : int; len : int }
+      (** the [len] ints from [off] on *)
 
   let rec equal_from a b i =
-    i = a.len || (a.ints.(i) = b.ints.(i) && equal_from a b (i + 1))
+    i = a.len
+    || (a.ints.(a.off + i) = b.ints.(b.off + i) && equal_from a b (i + 1))
 
   let equal a b = a.len = b.len && equal_from a b 0
 
@@ -77,29 +83,31 @@ module Key = struct
      ints), then [Hashtbl.hash]'s integer mixing *)
   let hash a =
     let h = ref 0 in
-    for i = 0 to a.len - 1 do
+    for i = a.off to a.off + a.len - 1 do
       h := (!h * 65599) + a.ints.(i)
     done;
     Hashtbl.hash !h
 
-  let stored a = { a with ints = Array.sub a.ints 0 a.len }
+  let stored a = { a with ints = Array.sub a.ints a.off a.len; off = 0 }
 end
 
 module Key_tbl = Hashtbl.Make (Key)
 
-module Prog_map = Map.Make (struct
+module Prog_tbl = Hashtbl.Make (struct
   type t = Prog.state
-  let compare = Prog.compare_state
+  let equal = Prog.equal_state
+  let hash = Prog.hash_state
 end)
 
 (* Interners, the reusable key buffer, and per-key scratch: the keyed
    memory's locations by position, for rank lookups.  The helpers below
-   are closure-free, so building a key allocates only the returned probe
-   and new interner entries. *)
+   are closure-free, so building a key allocates only the returned probe,
+   new interner entries and {!Prog.equal_state}'s closure on a program
+   hit.  Ids are first-seen, so keys do not depend on the interner's
+   table layout. *)
 type keyer = {
   loc_ids : (Loc.t, int) Hashtbl.t;
-  mutable prog_ids : int Prog_map.t;
-  mutable nprogs : int;
+  prog_ids : int Prog_tbl.t;
   mutable buf : int array;
   mutable len : int;
   mutable locs : Loc.t array;
@@ -111,8 +119,7 @@ type keyer = {
 let make_keyer () =
   {
     loc_ids = Hashtbl.create 8;
-    prog_ids = Prog_map.empty;
-    nprogs = 0;
+    prog_ids = Prog_tbl.create 64;
     buf = Array.make 256 0;
     len = 0;
     locs = [||];
@@ -139,12 +146,11 @@ let loc_id k x =
     id
 
 let prog_id k p =
-  match Prog_map.find p k.prog_ids with
+  match Prog_tbl.find k.prog_ids p with
   | id -> id
   | exception Not_found ->
-    let id = k.nprogs in
-    k.nprogs <- id + 1;
-    k.prog_ids <- Prog_map.add p id k.prog_ids;
+    let id = Prog_tbl.length k.prog_ids in
+    Prog_tbl.add k.prog_ids p id;
     id
 
 let register x ms k =
@@ -253,7 +259,7 @@ let key k ~params_id (s : state) : Key.t =
   done;
   push_view k s.memory.Memory.scv;
   push_threads k s.threads;
-  { Key.ints = k.buf; len = k.len }
+  { Key.ints = k.buf; off = 0; len = k.len }
 
 (* ------------------------------------------------------------------ *)
 (* Shareable memoization context                                        *)
@@ -266,12 +272,17 @@ let key k ~params_id (s : state) : Key.t =
     rather than per exploration so that keys of explorations sharing the
     memo stay comparable.  Sharing is sound across differing params (keys
     lead with the params id) and only ever changes {e timing} and hit
-    counts, never verdicts or state counts. *)
+    counts, never verdicts or state counts.  It also owns one
+    certification search's scratch: the visited table and the int arena
+    its keys live in, both emptied when the next search starts. *)
 type memo = {
   cert_tbl : bool Key_tbl.t;
   keyer : keyer;
   params_ids : (string, int) Hashtbl.t;
   mutable hits : int;  (** cumulative hits across all uses *)
+  cert_visited : unit Key_tbl.t;
+  mutable arena : int array;
+  mutable arena_len : int;  (** ints of [arena] in use *)
 }
 
 let make_memo () =
@@ -280,9 +291,26 @@ let make_memo () =
     keyer = make_keyer ();
     params_ids = Hashtbl.create 4;
     hits = 0;
+    cert_visited = Key_tbl.create 64;
+    arena = Array.make 4096 0;
+    arena_len = 0;
   }
 
 let memo_hits (m : memo) = m.hits
+let memo_entries (m : memo) = Key_tbl.length m.cert_tbl
+
+(* A copy of [k] in the arena, valid until the next search resets it.
+   A full arena is replaced, not grown: keys already handed out keep
+   the old array alive for as long as the visited table holds them. *)
+let arena_key (m : memo) (k : Key.t) : Key.t =
+  if m.arena_len + k.Key.len > Array.length m.arena then begin
+    m.arena <- Array.make (max k.Key.len (2 * Array.length m.arena)) 0;
+    m.arena_len <- 0
+  end;
+  let off = m.arena_len in
+  Array.blit k.Key.ints k.Key.off m.arena off k.Key.len;
+  m.arena_len <- off + k.Key.len;
+  { Key.ints = m.arena; off; len = k.Key.len }
 
 (* ------------------------------------------------------------------ *)
 (* Certification                                                        *)
@@ -310,7 +338,9 @@ let params_id (m : memo) (p : Thread.params) : int =
    failure steps empty the promise set and therefore certify).  The memo
    caches verdicts keyed by the canonical single-thread state (sound:
    certification only depends on it and the params, whose id leads the
-   key).  The top-level key doubles as the search's first visited key. *)
+   key).  The top-level key doubles as the search's first visited key;
+   the other visited keys live in the memo's arena, so a search node
+   costs no key array of its own. *)
 let certify ~budget (m : memo) ~params_id (p : Thread.params)
     (mem : Memory.t) (th : Thread.t) : bool =
   let key_of mem th =
@@ -323,7 +353,9 @@ let certify ~budget (m : memo) ~params_id (p : Thread.params)
     b
   | None ->
     let top_key = Key.stored top_key in
-    let visited = Key_tbl.create 64 in
+    let visited = m.cert_visited in
+    Key_tbl.reset visited;
+    m.arena_len <- 0;
     let rec go fuel mem th k =
       Engine.Budget.check budget;
       if th.Thread.promises = [] then true
@@ -332,7 +364,7 @@ let certify ~budget (m : memo) ~params_id (p : Thread.params)
         let k = match k with Some k -> k | None -> key_of mem th in
         if Key_tbl.mem visited k then false
         else begin
-          Key_tbl.add visited (Key.stored k) ();
+          Key_tbl.add visited (if k == top_key then k else arena_key m k) ();
           let outcomes = Thread.steps p mem th @ Thread.lower_steps mem th in
           List.exists
             (function
@@ -359,8 +391,9 @@ type result = {
           rlx or weaker — the premise of the DRF-PF guarantee counts races
           involving any non-acquire/release access *)
   memo_hits : int;
-      (** certification-memo hits during this exploration — deterministic
-          iff the memo was not pre-warmed by other explorations *)
+      (** certification-memo hits of the certifications this exploration
+          ran (replayed expansions run none) — deterministic iff the memo
+          was not pre-warmed by other explorations *)
 }
 
 let terminal_behavior (s : state) : behavior option =
@@ -403,6 +436,25 @@ let state_has_weak_race (s : state) : bool =
       | Prog.Do_write ((Mode.Wna | Mode.Wrlx), x, _, _) -> unseen th x
       | _ -> false)
     s.threads
+
+(* The expansion cache of one exploration: per (thread index, memory,
+   thread) expanded, its certified outcomes in step order, [Failure]
+   kept.  Hits are decided by exact equality, not by the canonical key:
+   two memories equal up to timestamp order-isomorphism carry different
+   timestamps, and the other threads' views name them, so their
+   successors differ.  The canonical single-thread key only serves as
+   the hash ([hash]), mixed with the thread index. *)
+type expansion = { tid : int; mem : Memory.t; th : Thread.t; hash : int }
+
+module Expansion_tbl = Hashtbl.Make (struct
+  type t = expansion
+
+  let equal a b =
+    a.hash = b.hash && a.tid = b.tid && Memory.equal a.mem b.mem
+    && Thread.equal a.th b.th
+
+  let hash e = e.hash
+end)
 
 (** Exhaustive bounded exploration of all PS_na behaviors of a concurrent
     program.  [until_bot] stops as soon as a ⊥ behavior is recorded — sound
@@ -448,6 +500,7 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
       progs
   in
   let visited = Key_tbl.create 4096 in
+  let expanded = Expansion_tbl.create 1024 in
   let behaviors = ref Behavior_set.empty in
   let races = ref false in
   let weak_races = ref false in
@@ -476,25 +529,44 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
      | None -> ());
     List.iteri
       (fun tid (th : Thread.t) ->
-        let outcomes =
-          Thread.steps params s.memory th
-          @ Thread.promise_steps params (List.nth writable tid) s.memory th
-          @ Thread.lower_steps s.memory th
+        let take = function
+          | Thread.Failure ->
+            behaviors := Behavior_set.add Bot !behaviors;
+            if until_bot then stop := true
+          | Thread.Step (th', mem', _) ->
+            push
+              {
+                threads =
+                  List.mapi (fun i t -> if i = tid then th' else t) s.threads;
+                memory = mem';
+              }
         in
-        List.iter
-          (function
-            | Thread.Failure ->
-              behaviors := Behavior_set.add Bot !behaviors;
-              if until_bot then stop := true
-            | Thread.Step (th', mem', _) ->
-              if certify ~budget memo ~params_id params mem' th' then
-                push
-                  {
-                    threads =
-                      List.mapi (fun i t -> if i = tid then th' else t) s.threads;
-                    memory = mem';
-                  })
-          outcomes)
+        let k =
+          key memo.keyer ~params_id { threads = [ th ]; memory = s.memory }
+        in
+        let hash = Hashtbl.hash ((Key.hash k * 31) + tid) in
+        let e = { tid; mem = s.memory; th; hash } in
+        match Expansion_tbl.find expanded e with
+        | certified -> List.iter take certified
+        | exception Not_found ->
+          (* certify and take each outcome in step order, as a replay
+             will ([List.filter] visits left to right) *)
+          let certified =
+            List.filter
+              (fun o ->
+                let ok =
+                  match o with
+                  | Thread.Failure -> true
+                  | Thread.Step (th', mem', _) ->
+                    certify ~budget memo ~params_id params mem' th'
+                in
+                if ok then take o;
+                ok)
+              (Thread.steps params s.memory th
+              @ Thread.promise_steps params (List.nth writable tid) s.memory th
+              @ Thread.lower_steps s.memory th)
+          in
+          Expansion_tbl.add expanded e certified)
       s.threads
   done;
   {

@@ -8,7 +8,9 @@
 
     Both the visited set and the certification memo are keyed by an
     integer canonical key, built in a reusable buffer and copied out as
-    an [int array] only when stored: the params id, then per location its
+    an [int array] only when stored (the keys a certification search
+    visits go to a reusable arena in the {!memo} instead, since they die
+    with the search): the params id, then per location its
     interned id and per message the attached bit and payload, then every
     view (SC, and each thread's cur/acq/rel) as (location id, timestamp
     rank) pairs for its non-zero entries, then per thread its interned
@@ -16,7 +18,14 @@
     outputs and its promise-step count.  Timestamps appear only as ranks
     in their location's message list, which is what makes the keys
     order-isomorphism invariant.  The interners live in the {!memo}, so
-    keys of explorations that share a memo stay comparable. *)
+    keys of explorations that share a memo stay comparable.
+
+    Each {!explore} call expands and certifies every (thread index,
+    memory, thread) once: an expansion cache keeps its certified
+    outcomes in step order and replays them when the same triple comes
+    up again along another interleaving.  Hits are decided by the exact
+    {!Memory.equal} and {!Thread.equal}, not by the canonical key, since
+    the other threads' views name the memory's actual timestamps. *)
 
 open Lang
 
@@ -44,8 +53,15 @@ type memo
 
 val make_memo : unit -> memo
 
-(** Cumulative certification-memo hits across all uses of this context. *)
+(** Cumulative certification-memo hits across all uses of this context:
+    lookups of a certification that runs, i.e. outside the per-exploration
+    expansion cache (see {!explore}), that found a stored verdict. *)
 val memo_hits : memo -> int
+
+(** Distinct certification verdicts stored in this context: one per
+    canonical single-thread state certified.  The expansion cache skips
+    only repeated certifications, so this count does not depend on it. *)
+val memo_entries : memo -> int
 
 (** Fingerprint of the parameters certification verdicts depend on.  A
     memo interns it once per {!explore} into the params id that leads
@@ -61,15 +77,19 @@ type result = {
       (** some state had a conflicting unseen message at an access of mode
           rlx or weaker — the DRF-PF premise *)
   memo_hits : int;
-      (** certification-memo hits during this exploration — deterministic
-          iff the memo context was not pre-warmed by other explorations *)
+      (** certification-memo hits during this exploration, counting only
+          certifications that run (a repeated expansion replays its
+          certified successors without certifying) — deterministic iff
+          the memo context was not pre-warmed by other explorations *)
 }
 
 (** Exhaustive bounded exploration of all PS_na behaviors of a concurrent
     program (one statement per thread).  [until_bot] stops as soon as ⊥ is
     recorded — sound when only the behaviors of a refinement {e source} are
     needed (⊥ subsumes everything).  [memo] shares certification verdicts
-    with other explorations using the same context.  [budget] (default
+    with other explorations using the same context; the expansion cache
+    (see above) is local to the call, since the locations a thread may
+    promise at differ between programs.  [budget] (default
     unlimited, a no-op) is charged one state per distinct canonical state
     and polled along the search, including inside certification; on
     exhaustion {!Engine.Budget.Exhausted} escapes — use {!explore_v} to

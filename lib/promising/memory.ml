@@ -46,6 +46,18 @@ let compare (a : t) (b : t) =
   let c = Loc.Map.compare (List.compare Message.compare) a.msgs b.msgs in
   if c <> 0 then c else View.compare a.scv b.scv
 
+(* Exact equality, [==] first at every level: the same messages at the
+   same timestamps.  It implies [compare a b = 0] and is not invariant
+   under timestamp order-isomorphism (x messages at 0, 1/2, 1 and at 0,
+   1, 2 differ), which is what a cache of concrete successors needs:
+   other threads' views name these very timestamps. *)
+let equal (a : t) (b : t) =
+  a == b
+  || Loc.Map.equal
+       (fun ms1 ms2 -> ms1 == ms2 || List.equal Message.equal ms1 ms2)
+       a.msgs b.msgs
+     && View.equal a.scv b.scv
+
 (** Canonical timestamps for inserting a new message at [x], optionally
     above [floor].  Returns pairs [(ts, pred_ts)] where [pred_ts] is the
     timestamp of the predecessor message (needed for attached inserts). *)

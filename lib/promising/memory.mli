@@ -21,6 +21,12 @@ val messages_at : t -> Loc.t -> Message.t list
 val all_messages : t -> Message.t list
 val compare : t -> t -> int
 
+(** Exact equality, [==] first: the same messages at the same timestamps.
+    Implies [compare a b = 0].  Not invariant under timestamp
+    order-isomorphism: memories whose x messages sit at 0, 1/2, 1 and at
+    0, 1, 2 are not equal. *)
+val equal : t -> t -> bool
+
 (** Canonical insertion timestamps above [floor]: [(ts, pred_ts)] pairs
     where [pred_ts] is the predecessor's timestamp.  Positions in front of
     an attached message are excluded (RMW atomicity). *)

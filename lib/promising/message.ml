@@ -51,7 +51,19 @@ let compare m1 m2 =
       let c = Bool.compare m1.attached m2.attached in
       if c <> 0 then c else compare_payload m1.payload m2.payload
 
-let equal m1 m2 = compare m1 m2 = 0
+(* [==] first, then field by field with {!View.equal}: implies
+   [compare m1 m2 = 0] without {!View.compare}'s filtered copies *)
+let equal m1 m2 =
+  m1 == m2
+  || Loc.equal m1.loc m2.loc
+     && Time.equal m1.ts m2.ts
+     && Bool.equal m1.attached m2.attached
+     &&
+     match m1.payload, m2.payload with
+     | Reserved, Reserved -> true
+     | Concrete c1, Concrete c2 ->
+       Value.equal c1.value c2.value && View.equal c1.view c2.view
+     | Reserved, Concrete _ | Concrete _, Reserved -> false
 
 let pp ppf m =
   match m.payload with

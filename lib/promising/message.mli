@@ -24,5 +24,9 @@ val is_concrete : t -> bool
 val is_reserved : t -> bool
 val compare_payload : payload -> payload -> int
 val compare : t -> t -> int
+
+(** Field-wise equality, [==] first, with {!View.equal} on the views:
+    implies [compare m1 m2 = 0]. *)
 val equal : t -> t -> bool
+
 val pp : Format.formatter -> t -> unit

@@ -41,6 +41,16 @@ let compare a b =
         let c = List.compare Value.compare a.outs b.outs in
         if c <> 0 then c else Int.compare a.promised b.promised
 
+(* Exact equality, [==] first at every level; implies [compare a b = 0]
+   without {!Prog.compare_state}'s map enumerations *)
+let equal a b =
+  a == b
+  || a.promised = b.promised
+     && Prog.equal_state a.prog b.prog
+     && Tview.equal a.views b.views
+     && List.equal Message.equal a.promises b.promises
+     && List.equal Value.equal a.outs b.outs
+
 type params = {
   values : Value.t list;  (** defined values for choices/promises *)
   batch_bound : int;  (** max extra messages per non-atomic write *)
@@ -418,8 +428,12 @@ let lower_steps (mem : Memory.t) (th : t) : outcome list =
         List.map
           (fun payload ->
             let m' = { m with Message.payload } in
-            let th' = add_promise (remove_promise th m) m' in
-            Step (th', Memory.replace mem ~old_m:m ~new_m:m', false))
+            (* same loc and ts, so the sorted order holds in place *)
+            let promises =
+              List.map (fun m0 -> if m0 == m then m' else m0) th.promises
+            in
+            Step ({ th with promises }, Memory.replace mem ~old_m:m ~new_m:m',
+                  false))
           variants)
     th.promises
 

@@ -18,6 +18,10 @@ val cur : t -> View.t
 
 val compare : t -> t -> int
 
+(** Exact equality, [==] first at every level.  Implies
+    [compare a b = 0]. *)
+val equal : t -> t -> bool
+
 type params = {
   values : Value.t list;  (** defined values for choices/promises *)
   batch_bound : int;  (** max extra messages per non-atomic write *)

@@ -31,7 +31,9 @@ let compare a b =
     let c = View.compare a.acq b.acq in
     if c <> 0 then c else View.compare a.rel b.rel
 
-let equal a b = compare a b = 0
+let equal a b =
+  a == b
+  || View.equal a.cur b.cur && View.equal a.acq b.acq && View.equal a.rel b.rel
 
 (* --- effects of the thread steps --- *)
 

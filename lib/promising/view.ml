@@ -30,6 +30,10 @@ let compare (a : t) (b : t) =
     (Loc.Map.filter (fun _ t -> not (Time.equal t Time.zero)) a)
     (Loc.Map.filter (fun _ t -> not (Time.equal t Time.zero)) b)
 
-let equal a b = compare a b = 0
+(* Equality of the stored maps, [==] first, without [compare]'s
+   filtered copies.  It implies [compare a b = 0]; the converse fails
+   only for maps holding explicit zero entries, which no operation here
+   stores. *)
+let equal (a : t) (b : t) = a == b || Loc.Map.equal Time.equal a b
 
 let pp ppf (v : t) = Loc.Map.pp Time.pp ppf v

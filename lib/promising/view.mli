@@ -13,5 +13,10 @@ val singleton : Loc.t -> Time.t -> t
 val join : t -> t -> t
 val le : t -> t -> bool
 val compare : t -> t -> int
+
+(** Equality of the stored maps, [==] first.  Implies [compare a b = 0];
+    the converse fails only for maps holding explicit zero entries, which
+    no operation of this module stores. *)
 val equal : t -> t -> bool
+
 val pp : Format.formatter -> t -> unit

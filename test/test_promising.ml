@@ -292,39 +292,45 @@ let sc_fences =
 let suite = suite @ sc_fences
 
 (* Pins of PS_na state dedup and certification-memo equivalence: the
-   (states, memo hits, behaviors) triple of every E4 catalog program and
-   every E15 grid row (the [ps] column) under a fresh memo, and of one
-   adequacy row whose target exploration reuses the memo its source
-   warmed.  A canonical key that merged or split visited states moves
-   [states]; one that merged or split certification entries moves the
-   memo hits, which no golden table shows. *)
-let pinned (states, memo_hits, behaviors) (r : M.result) =
-  Alcotest.(check (triple int int string))
-    "(states, memo hits, behaviors)"
-    (states, memo_hits, behaviors)
-    (r.M.states, r.M.memo_hits, Fmt.str "%a" M.pp_behaviors r.M.behaviors)
+   states, memo hits, distinct certification entries and behaviors of
+   every E4 catalog program and every E15 grid row (the [ps] column)
+   under a fresh memo, and of one adequacy row whose target exploration
+   reuses the memo its source warmed.  A canonical key that merged or
+   split visited states moves [states]; one that merged or split
+   certification entries moves the entry count, which no golden table
+   shows.  The hits count the certifications that still run after the
+   expansion cache; the entries do not depend on that cache, since it
+   skips only certifications of keys already stored. *)
+let pinned (states, memo_hits, entries, behaviors) memo (r : M.result) =
+  Alcotest.(check (pair (triple int int int) string))
+    "((states, memo hits, memo entries), behaviors)"
+    ((states, memo_hits, entries), behaviors)
+    ( (r.M.states, r.M.memo_hits, M.memo_entries memo),
+      Fmt.str "%a" M.pp_behaviors r.M.behaviors )
 
 (* keyed by program name: grid rows that reuse an E4 program appear once *)
 let ps_pins =
   [
-    ("SB-rlx", (136, 2220, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
-    ("MP-rel-acq", (200, 1800, "{⟨0 ∥ 0⟩; ⟨0 ∥ 11⟩}"));
-    ("LB-rlx", (157, 2302, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
-    ("LB-data", (157, 2302, "{⟨0 ∥ 0⟩}"));
-    ("Ex-5.1", (647, 5329, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 1⟩; ⟨2 ∥ 1⟩; ⟨undef ∥ 1⟩}"));
-    ("WW-race", (1901, 29110, "{⊥; ⟨0 ∥ 0⟩}"));
-    ("RW-race", (216, 1215, "{⟨0 ∥ 0⟩; ⟨1 ∥ 0⟩; ⟨2 ∥ 0⟩; ⟨undef ∥ 0⟩}"));
+    ("SB-rlx", (136, 20, 356, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
+    ("MP-rel-acq", (200, 60, 354, "{⟨0 ∥ 0⟩; ⟨0 ∥ 11⟩}"));
+    ("LB-rlx", (157, 48, 336, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
+    ("LB-data", (157, 48, 336, "{⟨0 ∥ 0⟩}"));
+    ("Ex-5.1", (647, 150, 1218, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨1 ∥ 1⟩; ⟨2 ∥ 1⟩; ⟨undef ∥ 1⟩}"));
+    ("WW-race", (1901, 8685, 14544, "{⊥; ⟨0 ∥ 0⟩}"));
+    ("RW-race", (216, 60, 216, "{⟨0 ∥ 0⟩; ⟨1 ∥ 0⟩; ⟨2 ∥ 0⟩; ⟨undef ∥ 0⟩}"));
     ( "2+2W-rlx",
       ( 3824,
-        160442,
+        242,
+        2787,
         "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 2⟩; ⟨0 ∥ 0 ∥ 10⟩; ⟨0 ∥ 0 ∥ 11⟩; \
          ⟨0 ∥ 0 ∥ 12⟩; ⟨0 ∥ 0 ∥ 20⟩; ⟨0 ∥ 0 ∥ 21⟩; ⟨0 ∥ 0 ∥ 22⟩}" ) );
-    ("MP-fences", (290, 2636, "{⟨0 ∥ 0⟩; ⟨0 ∥ 11⟩}"));
-    ("SB-sc-fence", (208, 3158, "{⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
-    ("MP-rlx", (74, 967, "{⟨0 ∥ 0⟩; ⟨0 ∥ 10⟩; ⟨0 ∥ 11⟩}"));
+    ("MP-fences", (290, 60, 452, "{⟨0 ∥ 0⟩; ⟨0 ∥ 11⟩}"));
+    ("SB-sc-fence", (208, 30, 810, "{⟨0 ∥ 1⟩; ⟨1 ∥ 0⟩; ⟨1 ∥ 1⟩}"));
+    ("MP-rlx", (74, 15, 145, "{⟨0 ∥ 0⟩; ⟨0 ∥ 10⟩; ⟨0 ∥ 11⟩}"));
     ( "IRIW-rlx",
       ( 3461,
-        67446,
+        20,
+        244,
         "{⟨0 ∥ 0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 0 ∥ 10⟩; \
          ⟨0 ∥ 0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 0 ∥ 1 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1 ∥ 1⟩; \
          ⟨0 ∥ 0 ∥ 1 ∥ 10⟩; ⟨0 ∥ 0 ∥ 1 ∥ 11⟩; ⟨0 ∥ 0 ∥ 10 ∥ 0⟩; \
@@ -333,22 +339,25 @@ let ps_pins =
          ⟨0 ∥ 0 ∥ 11 ∥ 11⟩}" ) );
     ( "R-rlx",
       ( 2414,
-        75690,
+        76,
+        1152,
         "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 2⟩; ⟨0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 0 ∥ 12⟩; \
          ⟨0 ∥ 0 ∥ 21⟩; ⟨0 ∥ 0 ∥ 22⟩; ⟨0 ∥ 1 ∥ 0⟩; ⟨0 ∥ 1 ∥ 1⟩; ⟨0 ∥ 1 ∥ 2⟩; \
          ⟨0 ∥ 1 ∥ 11⟩; ⟨0 ∥ 1 ∥ 12⟩; ⟨0 ∥ 1 ∥ 21⟩; ⟨0 ∥ 1 ∥ 22⟩}" ) );
     ( "S-rlx",
       ( 2698,
-        82193,
+        122,
+        1121,
         "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 2⟩; ⟨0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 0 ∥ 12⟩; \
          ⟨0 ∥ 0 ∥ 21⟩; ⟨0 ∥ 0 ∥ 22⟩; ⟨0 ∥ 1 ∥ 0⟩; ⟨0 ∥ 1 ∥ 1⟩; ⟨0 ∥ 1 ∥ 2⟩; \
          ⟨0 ∥ 1 ∥ 11⟩; ⟨0 ∥ 1 ∥ 12⟩; ⟨0 ∥ 1 ∥ 21⟩; ⟨0 ∥ 1 ∥ 22⟩}" ) );
     ( "WRC-rlx",
       ( 745,
-        13454,
+        34,
+        290,
         "{⟨0 ∥ 0 ∥ 0⟩; ⟨0 ∥ 0 ∥ 1⟩; ⟨0 ∥ 0 ∥ 10⟩; ⟨0 ∥ 0 ∥ 11⟩; ⟨0 ∥ 1 ∥ 0⟩; \
          ⟨0 ∥ 1 ∥ 1⟩; ⟨0 ∥ 1 ∥ 10⟩; ⟨0 ∥ 1 ∥ 11⟩}" ) );
-    ("CoRR-rlx", (49, 419, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨0 ∥ 11⟩}"));
+    ("CoRR-rlx", (49, 5, 60, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨0 ∥ 11⟩}"));
   ]
 
 let key_pins =
@@ -365,24 +374,234 @@ let key_pins =
           match List.assoc_opt c.C.cname ps_pins with
           | None -> Alcotest.failf "no pin for %s" c.C.cname
           | Some pin ->
-            pinned pin (M.explore (Parser.threads_of_string c.C.threads))))
+            let memo = M.make_memo () in
+            pinned pin memo
+              (M.explore ~memo (Parser.threads_of_string c.C.threads))))
     programs
   @ [
       (* the explorations Adequacy.check_transformation runs for this
          row: the source stops at ⊥ (it has none), the target shares the
-         source's memo; the row totals 11653 states and 183290 hits *)
+         source's memo (the entry counts are cumulative); the row totals
+         11653 states, 35751 hits and 87090 entries *)
       test "key pin: na-write-then-rel x handover adequacy row" (fun () ->
           let tr = Option.get (C.find_transformation "na-write-then-rel") in
           let ctx = Parser.threads_of_string (List.assoc "handover" C.contexts) in
           let memo = M.make_memo () in
           pinned
-            (1144, 18487, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩}")
+            (1144, 870, 10177, "{⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩}")
+            memo
             (M.explore ~until_bot:true ~memo
                (Parser.stmt_of_string tr.C.src :: ctx));
           pinned
-            (10509, 164803, "{⊥; ⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨0 ∥ 2⟩; ⟨0 ∥ undef⟩}")
+            (10509, 34881, 87090, "{⊥; ⟨0 ∥ 0⟩; ⟨0 ∥ 1⟩; ⟨0 ∥ 2⟩; ⟨0 ∥ undef⟩}")
+            memo
             (M.explore ~memo (Parser.stmt_of_string tr.C.tgt :: ctx));
-          Alcotest.(check int) "memo hits, cumulative" 183290 (M.memo_hits memo));
+          Alcotest.(check int) "memo hits, cumulative" 35751 (M.memo_hits memo));
     ]
 
 let suite = suite @ key_pins
+
+(* The expansion cache of [Machine.explore] decides hits with
+   [Memory.equal] and [Thread.equal].  They must imply [compare = 0]
+   (a false hit would replay another configuration's successors), must
+   not depend on the tree shapes of the maps inside (a false miss only
+   costs time, but these are the hits that save it), and must not be
+   invariant under timestamp order-isomorphism, which the canonical keys
+   are. *)
+
+module Th = Promising.Thread
+module Mem = Promising.Memory
+module Message = Promising.Message
+
+let cache_gen_cfg =
+  {
+    Gen.default_config with
+    Gen.na_locs = [ Loc.make "X" ];
+    at_locs = [ Loc.make "Y" ];
+    regs = [ Reg.make "a"; Reg.make "b" ];
+    values = [ 0; 1 ];
+  }
+
+(* The states a random run of machine steps (thread, promise and lower
+   steps, uncertified) passes through. *)
+let walk rand progs ~len =
+  let locs =
+    Loc.Set.elements
+      (List.fold_left
+         (fun acc (fp : Stmt.footprint) ->
+           Loc.Set.union acc (Loc.Set.union fp.Stmt.na fp.Stmt.at))
+         Loc.Set.empty (List.map Stmt.footprint progs))
+  in
+  let writable =
+    List.map
+      (fun p -> Loc.Set.elements (Th.writable_locs Loc.Set.empty p))
+      progs
+  in
+  let rec go n (s : M.state) acc =
+    let succs =
+      List.concat
+        (List.mapi
+           (fun tid th ->
+             List.filter_map
+               (function
+                 | Th.Step (th', mem', _) ->
+                   Some
+                     {
+                       M.threads =
+                         List.mapi (fun i t -> if i = tid then th' else t)
+                           s.M.threads;
+                       memory = mem';
+                     }
+                 | Th.Failure -> None)
+               (Th.steps params s.M.memory th
+               @ Th.promise_steps params (List.nth writable tid) s.M.memory th
+               @ Th.lower_steps s.M.memory th))
+           s.M.threads)
+    in
+    if n = 0 || succs = [] then List.rev (s :: acc)
+    else
+      go (n - 1)
+        (List.nth succs (Random.State.int rand (List.length succs)))
+        (s :: acc)
+  in
+  go len
+    {
+      M.threads = List.map (fun p -> Th.init (Prog.init p)) progs;
+      memory = Mem.init locs;
+    }
+    []
+
+(* A copy sharing nothing with the original, every map rebuilt by
+   inserting its bindings in ascending or descending key order. *)
+let rebuild ~descending (s : M.state) : M.state =
+  let order l = if descending then List.rev l else l in
+  let map add empty bindings f =
+    List.fold_left (fun m (k, v) -> add k (f v) m) empty (order bindings)
+  in
+  let view v = map Loc.Map.add Loc.Map.empty (Loc.Map.bindings v) Fun.id in
+  let msg (m : Message.t) =
+    {
+      m with
+      Message.payload =
+        (match m.Message.payload with
+         | Message.Concrete { value; view = v } ->
+           Message.Concrete { value; view = view v }
+         | Message.Reserved -> Message.Reserved);
+    }
+  in
+  let thread (th : Th.t) =
+    let p = th.Th.prog in
+    {
+      th with
+      Th.prog =
+        {
+          p with
+          Prog.cont = Marshal.from_string (Marshal.to_string p.Prog.cont []) 0;
+          regs =
+            map Reg.Map.add Reg.Map.empty (Reg.Map.bindings p.Prog.regs)
+              Fun.id;
+        };
+      views =
+        {
+          Promising.Tview.cur = view th.Th.views.Promising.Tview.cur;
+          acq = view th.Th.views.Promising.Tview.acq;
+          rel = view th.Th.views.Promising.Tview.rel;
+        };
+      promises = List.map msg th.Th.promises;
+      outs = List.map Fun.id th.Th.outs;
+    }
+  in
+  {
+    M.threads = List.map thread s.M.threads;
+    memory =
+      {
+        Mem.msgs =
+          map Loc.Map.add Loc.Map.empty (Loc.Map.bindings s.M.memory.Mem.msgs)
+            (List.map msg);
+        scv = view s.M.memory.Mem.scv;
+      };
+  }
+
+let qcheck_cache_equal =
+  QCheck.Test.make
+    ~name:"Memory.equal and Thread.equal imply compare = 0 and ignore map \
+           shapes, on states of random machine runs"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (p1, p2, _) -> Fmt.str "%a ||| %a" Stmt.pp p1 Stmt.pp p2)
+       (fun rand ->
+         ( Gen.gen_program cache_gen_cfg rand ~size:4,
+           Gen.gen_program cache_gen_cfg rand ~size:4,
+           Random.State.bits rand )))
+    (fun (p1, p2, seed) ->
+      let rand = Random.State.make [| seed |] in
+      let states =
+        walk rand [ p1; p2 ] ~len:12 @ walk rand [ p1; p2 ] ~len:12
+      in
+      let implies (s : M.state) (s' : M.state) =
+        ((not (Mem.equal s.M.memory s'.M.memory))
+        || Mem.compare s.M.memory s'.M.memory = 0)
+        && List.for_all2
+             (fun th th' -> (not (Th.equal th th')) || Th.compare th th' = 0)
+             s.M.threads s'.M.threads
+      in
+      let same (s : M.state) (s' : M.state) =
+        Mem.equal s.M.memory s'.M.memory
+        && Mem.compare s.M.memory s'.M.memory = 0
+        && List.for_all2
+             (fun th th' -> Th.equal th th' && Th.compare th th' = 0)
+             s.M.threads s'.M.threads
+      in
+      let asc = List.map (rebuild ~descending:false) states
+      and desc = List.map (rebuild ~descending:true) states in
+      (* the point of the rebuilt copies: with two locations, the two
+         insertion orders give the memory maps different shapes *)
+      List.iter2
+        (fun (a : M.state) (d : M.state) ->
+          if
+            Loc.Map.cardinal a.M.memory.Mem.msgs >= 2
+            && Stdlib.compare a.M.memory.Mem.msgs d.M.memory.Mem.msgs = 0
+          then QCheck.Test.fail_report "rebuilt memory maps share a shape")
+        asc desc;
+      let all = states @ asc @ desc in
+      List.for_all (fun a -> List.for_all (implies a) all) all
+      && List.for_all2 same states asc
+      && List.for_all2 same states desc
+      && List.for_all2 same asc desc)
+
+let msg x ts v =
+  {
+    Message.loc = x;
+    ts;
+    attached = false;
+    payload =
+      Message.Concrete { value = i v; view = Promising.View.bot };
+  }
+
+let cache_soundness =
+  [
+    QCheck_alcotest.to_alcotest ~long:false qcheck_cache_equal;
+    test "Memory.equal is exact: isomorphic timestamps are not equal"
+      (fun () ->
+        let x = Loc.make "X" in
+        let t = Promising.Time.make in
+        let build ts1 ts2 =
+          Mem.add (Mem.add (Mem.init [ x ]) (msg x ts2 2)) (msg x ts1 1)
+        in
+        (* x messages at 0, 1/2, 1 and at 0, 1, 2, with the same values
+           in the same order *)
+        let half = build (t 1 2) (t 1 1) and whole = build (t 1 1) (t 2 1) in
+        let values mem =
+          List.map
+            (fun m -> Fmt.str "%a" Value.pp (Option.get (Message.value m)))
+            (Mem.messages_at mem x)
+        in
+        Alcotest.(check (list string))
+          "same values in timestamp order" (values half) (values whole);
+        check_bool "isomorphic memories are not equal" false
+          (Mem.equal half whole);
+        check_bool "an equal rebuild is equal" true
+          (Mem.equal half (build (t 1 2) (t 1 1))));
+  ]
+
+let suite = suite @ cache_soundness
