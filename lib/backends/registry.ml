@@ -1,44 +1,47 @@
 (** The backend registry: every machine behind {!Backend.MACHINE}, by
     name (see registry.mli). *)
 
-(** SC as a backend: {!Baselines.Sc} behind the shared signature.  The
-    underlying explorer predates budgets; the whole exploration is
-    charged to [budget] after the fact (checked up front so an
-    already-exhausted budget still stops immediately). *)
+(* The SC explorer predates budgets: [budget] is checked up front (so an
+   already-exhausted budget still stops immediately) and charged the
+   whole exploration after the fact. *)
+let sc_charged ~budget run =
+  Engine.Budget.check budget;
+  let r = run () in
+  Engine.Budget.spend_state ~n:r.Baselines.Sc.states budget;
+  r
+
+let of_sc (r : Baselines.Sc.result) : Backend.result =
+  {
+    Backend.behaviors = r.Baselines.Sc.behaviors;
+    races = r.Baselines.Sc.races;
+    truncated = r.Baselines.Sc.truncated;
+    states = r.Baselines.Sc.states;
+  }
+
+(** SC as a backend: {!Baselines.Sc} behind the shared signature. *)
 module Sc_machine : Backend.MACHINE = struct
   let name = "sc"
 
   let explore ?values ?max_states ?(budget = Engine.Budget.unlimited) progs =
-    Engine.Budget.check budget;
-    let r = Baselines.Sc.explore ?values ?max_states progs in
-    Engine.Budget.spend_state ~n:r.Baselines.Sc.states budget;
-    {
-      Backend.behaviors = r.Baselines.Sc.behaviors;
-      races = r.Baselines.Sc.races;
-      truncated = r.Baselines.Sc.truncated;
-      states = r.Baselines.Sc.states;
-    }
+    of_sc
+      (sc_charged ~budget (fun () ->
+           Baselines.Sc.explore ?values ?max_states progs))
 end
 
-(** Catch-fire as a backend: the SC behaviors, plus ⊥ whenever any
-    interleaving races ({!Baselines.Catchfire}). *)
+(** Catch-fire as a backend: the SC exploration, post-processed by
+    {!Baselines.Catchfire.of_sc}. *)
 module Catchfire_machine : Backend.MACHINE = struct
   let name = "catchfire"
 
   let explore ?values ?max_states ?(budget = Engine.Budget.unlimited) progs =
-    Engine.Budget.check budget;
-    let r = Baselines.Sc.explore ?values ?max_states progs in
-    Engine.Budget.spend_state ~n:r.Baselines.Sc.states budget;
-    let behaviors =
-      if r.Baselines.Sc.races then
-        Backend.Behavior_set.add Backend.Bot r.Baselines.Sc.behaviors
-      else r.Baselines.Sc.behaviors
+    let r =
+      sc_charged ~budget (fun () ->
+          Baselines.Sc.explore ?values ?max_states progs)
     in
     {
-      Backend.behaviors;
-      races = r.Baselines.Sc.races;
-      truncated = r.Baselines.Sc.truncated;
-      states = r.Baselines.Sc.states;
+      (of_sc r) with
+      Backend.behaviors =
+        (Baselines.Catchfire.of_sc r).Baselines.Catchfire.behaviors;
     }
 end
 

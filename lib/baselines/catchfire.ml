@@ -15,11 +15,15 @@ type result = {
   catches_fire : bool;
 }
 
-let explore ?values ?max_states (progs : Stmt.t list) : result =
-  let r = Sc.explore ?values ?max_states progs in
+(* Catch-fire needs no exploration of its own: it is a post-processing
+   of the SC result. *)
+let of_sc (r : Sc.result) : result =
   if r.Sc.races then
     { behaviors = Sc.Behavior_set.add Sc.Bot r.Sc.behaviors; catches_fire = true }
   else { behaviors = r.Sc.behaviors; catches_fire = false }
+
+let explore ?values ?max_states (progs : Stmt.t list) : result =
+  of_sc (Sc.explore ?values ?max_states progs)
 
 (** Contextual refinement under catch-fire: every target behavior must be
     matched (⊥ in the source matches everything).  Load introduction fails

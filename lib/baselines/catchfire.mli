@@ -10,6 +10,11 @@ type result = {
   catches_fire : bool;  (** some interleaving has a data race *)
 }
 
+(** The catch-fire reading of an SC exploration: its behaviors, plus ⊥
+    if it raced. *)
+val of_sc : Sc.result -> result
+
+(** [explore progs] is [of_sc (Sc.explore progs)]. *)
 val explore : ?values:Value.t list -> ?max_states:int -> Stmt.t list -> result
 
 (** Contextual refinement under catch-fire (⊥ in the source matches

@@ -40,7 +40,7 @@ let spec_is_unlimited s =
 
 type t = {
   limited : bool;
-  deadline : float;  (* absolute Unix time; infinity = none *)
+  deadline : float;  (* absolute {!Clock.now} reading; infinity = none *)
   max_states : int;  (* max_int = none *)
   max_fuel : int;
   mutable states : int;
@@ -69,7 +69,7 @@ let start (s : spec) : t =
       deadline =
         (match s.timeout_ms with
          | None -> infinity
-         | Some ms -> Unix.gettimeofday () +. (ms /. 1000.));
+         | Some ms -> Clock.now () +. (ms /. 1000.));
       max_states = Option.value s.max_states ~default:max_int;
       max_fuel = Option.value s.max_fuel ~default:max_int;
       states = 0;
@@ -89,7 +89,7 @@ let check t =
       (* [>=], not [>]: a 0 ms timeout sets the deadline to the current
          clock reading, and the first check may land on the same tick —
          an already-expired deadline must fire deterministically *)
-      if Unix.gettimeofday () >= t.deadline then raise (Exhausted Deadline)
+      if Clock.now () >= t.deadline then raise (Exhausted Deadline)
     end
     else t.poll <- t.poll - 1
   end

@@ -2,7 +2,8 @@
 
     The refinement/adequacy checkers are fixpoint explorations whose cost
     explodes with the domain size; a {!t} bounds one task attempt by an
-    optional wall-clock deadline, a state/pair budget, and a step fuel.
+    optional deadline on the monotonic {!Clock}, a state/pair budget, and
+    a step fuel.
     Hot loops call {!check} (cheap: a counter decrement between throttled
     clock polls) and charge work with {!spend_state}/{!spend_fuel}; when a
     limit is hit, {!Exhausted} is raised and is meant to be caught exactly

@@ -1,0 +1,3 @@
+(** Monotonic time in seconds (see clock.mli). *)
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

@@ -12,9 +12,9 @@ let add a b =
 let sum = List.fold_left add zero
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1000.)
+  (r, (Clock.now () -. t0) *. 1000.)
 
 let pp ppf t =
   Format.fprintf ppf "%.1fms %d states %d hits" t.wall_ms t.states t.memo_hits

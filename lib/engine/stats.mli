@@ -16,7 +16,7 @@ val add : task -> task -> task
 val sum : task list -> task
 
 (** [timed f] runs [f ()] and returns its result with the elapsed
-    wall-clock milliseconds (monotonic enough for coarse task timing). *)
+    milliseconds on the monotonic {!Clock}. *)
 val timed : (unit -> 'a) -> 'a * float
 
 val pp : Format.formatter -> task -> unit

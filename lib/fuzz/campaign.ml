@@ -165,7 +165,7 @@ let run ?pool ?(jobs = 1) ?(budget = Engine.Budget.spec_unlimited)
     ?corpus_dir ?(resume = false) ~seed ~max_execs () : report =
   if phases = [] then invalid_arg "Campaign.run: empty phase list";
   let coverage = coverage || guided || corpus_dir <> None in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Engine.Clock.now () in
   (* the pool and the fingerprint sets driving coverage accounting *)
   let pool_c = if coverage then Some (Corpus.create ()) else None in
   let prior_seen = Hashtbl.create 16 in
@@ -263,8 +263,11 @@ let run ?pool ?(jobs = 1) ?(budget = Engine.Budget.spec_unlimited)
      started from the spec, with exhaustion trapped per check: one
      expensive oracle must not starve the planted checks on exactly the
      acquire-rich programs the planted needles live in.  (The sweep-level
-     budget passed in by [run_verdict] is deliberately unused.) *)
+     budget passed in by [run_verdict] is deliberately unused.)  The
+     oracles share one {!Oracle.subject}, built here inside the task, so
+     the SC exploration runs once per program. *)
   let f ~budget:_ (_i, _fp, p) =
+    let subject = Oracle.subject p in
     let unk = ref 0 in
     let chk ~none th =
       match Engine.Verdict.capture th with
@@ -277,7 +280,8 @@ let run ?pool ?(jobs = 1) ?(budget = Engine.Budget.spec_unlimited)
           chk ~none:None (fun () ->
               Option.map
                 (fun d -> (k, d))
-                (Oracle.check k ~budget:(Engine.Budget.start budget) p)))
+                (Oracle.check_subject k ~budget:(Engine.Budget.start budget)
+                   subject)))
         oracles
     in
     let t_planted =
@@ -443,7 +447,7 @@ let run ?pool ?(jobs = 1) ?(budget = Engine.Budget.spec_unlimited)
     quarantined = !quarantined;
     shrink_steps_total = !shrink_steps_total;
     cov;
-    wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+    wall_ms = (Engine.Clock.now () -. t0) *. 1000.;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -79,17 +79,30 @@ let check_pass_correct ~budget (p : Stmt.t) : string option =
 (* Exhaustive dynamic racy accesses: all (kind, loc) pairs of non-atomic
    accesses SEQ can perform without holding the permission, over every
    initial permission set and memory of the (2-valued, for tractability)
-   domain.  Mirrors the qcheck harness in test/test_analysis.ml, but
-   budget-charged so the campaign can bound it. *)
+   domain.  The walk is over {!Seq_model.Core} ids, with successors from
+   {!Seq_model.Core.moves_next} and a visited bitmap; it visits
+   configurations in the order of the set-based walk in
+   test/test_analysis.ml (the reference), charging the budget one state
+   per configuration. *)
 let dynamic_racy ~budget (p : Stmt.t) : ([ `Read | `Write ] * Loc.t) list =
-  let module CSet = Set.Make (Seq_model.Config) in
   let d = Domain.of_stmts ~values:[ Value.Int 0; Value.Int 1 ] [ p ] in
-  let seen = ref CSet.empty in
+  let core =
+    match Seq_model.Core.create d with
+    | Some c -> c
+    | None -> raise Packed.Unpackable
+  in
+  let seen = ref (Bytes.make 64 '\000') in
   let acc = ref [] in
-  let rec visit cfg =
-    if not (CSet.mem cfg !seen) then begin
+  let rec visit id =
+    if id >= Bytes.length !seen then begin
+      let grown = Bytes.make (2 * id) '\000' in
+      Bytes.blit !seen 0 grown 0 (Bytes.length !seen);
+      seen := grown
+    end;
+    if Bytes.get !seen id = '\000' then begin
       Engine.Budget.spend_state budget;
-      seen := CSet.add cfg !seen;
+      Bytes.set !seen id '\001';
+      let cfg = Seq_model.Core.cfg core id in
       (match Prog.step cfg.Seq_model.Config.prog with
        | Prog.Do_read (Mode.Rna, x, _)
          when not (Loc.Set.mem x cfg.Seq_model.Config.perm) ->
@@ -98,18 +111,18 @@ let dynamic_racy ~budget (p : Stmt.t) : ([ `Read | `Write ] * Loc.t) list =
          when not (Loc.Set.mem x cfg.Seq_model.Config.perm) ->
          acc := (`Write, x) :: !acc
        | _ -> ());
-      List.iter
-        (fun (_, next) ->
-          match next with
-          | Seq_model.Config.Cont c -> visit c
-          | Seq_model.Config.Bot -> ())
-        (Seq_model.Config.moves d cfg)
+      Array.iter
+        (fun next -> if next >= 0 then visit next)
+        (Seq_model.Core.moves_next core id)
     end
   in
   List.iter
     (fun perm ->
       List.iter
-        (fun mem -> visit (Seq_model.Config.make ~perm ~mem (Prog.init p)))
+        (fun mem ->
+          visit
+            (Seq_model.Core.intern core
+               (Seq_model.Config.make ~perm ~mem (Prog.init p))))
         (Domain.memories d))
     (Domain.subsets d.Domain.na_locs);
   List.sort_uniq compare !acc
@@ -151,34 +164,42 @@ let check_lint_agree ~budget (p : Stmt.t) : string option =
            (kind_name k) (Loc.name x))
 
 (* ------------------------------------------------------------------ *)
+(* One program as the oracles see it.  The SC exploration is the same
+   for the baseline-env oracle and every baseline-hw variant, so it runs
+   at most once per subject, on first demand.  A subject lives inside one
+   campaign task, in one domain: nothing is shared across programs or
+   workers.  Every SC and hardware exploration here stops at
+   [max_explore_states]. *)
+let max_explore_states = 20_000
+
+type subject = { prog : Stmt.t; sc : Baselines.Sc.result Lazy.t }
+
+let subject (p : Stmt.t) : subject =
+  { prog = p; sc = lazy (Baselines.Sc.explore ~max_states:max_explore_states [ p ]) }
+
+(* ------------------------------------------------------------------ *)
 (* Baseline envelope.  Single-thread SC executions are SEQ executions
    under the identity environment from the full-permission, zero-memory
    initial configuration, so every SC (return value, prints) behavior
-   must appear among SEQ's enumerated terminal behaviors; and on
-   race-free programs the catch-fire semantics must agree with SC
-   exactly (the DRF guarantee).
+   must appear among SEQ's terminal behaviors, and an SC ⊥ among SEQ's
+   ⊥; and on race-free programs the catch-fire semantics must agree with
+   SC exactly (the DRF guarantee).
 
-   The SEQ enumeration branches over environment choices at every
-   acquire, so this oracle is exhaustive only on small programs: ones
-   above [baseline_env_max_size] are skipped, like SC-truncated ones —
-   the envelope property is about behavior sets, and on the campaign's
-   deep mutants the enumeration would spend the entire state budget
-   without covering either set (docs/FUZZING.md).
-
-   The gate sits at 20 statements (12 at PR 5, 16 once the packed-table
-   enumeration core landed): the hash-consed Seq_model.Core transitions
-   keep the per-acquire branching cheap enough to afford the deeper
-   programs within the same campaign budgets, with the 200k-state local
-   cap below still bounding the worst loop-heavy mutants. *)
+   SEQ's side is {!Seq_model.Behavior.outcomes}: the Def 2.1 induction
+   memoized on (fuel, configuration) and projected onto exactly those
+   observations, so it never builds a trace.  It still branches over the
+   environment's choices at every acquire, so programs above
+   [baseline_env_max_size] are skipped, like SC-truncated ones: the
+   envelope property is about complete behavior sets (docs/FUZZING.md). *)
 let baseline_env_max_size = 20
 
-(* The SC side below is hard-capped (Sc.explore ~max_states); the SEQ
-   enumeration needs the same protection when the campaign budget is
-   unlimited — a loop-heavy mutant near the size gate can otherwise
-   enumerate behavior sets without bound.  Any explicit budget wins. *)
+(* The SEQ side is state-charged to the campaign budget; when that budget
+   is unlimited, a loop-heavy mutant near the size gate could otherwise
+   enumerate without bound.  Any explicit budget wins. *)
 let baseline_env_default_states = 200_000
 
-let check_baseline_env ~budget (p : Stmt.t) : string option =
+let check_baseline_env ~budget (s : subject) : string option =
+  let p = s.prog in
   if Stmt.size p > baseline_env_max_size then None
   else
   let budget =
@@ -186,10 +207,10 @@ let check_baseline_env ~budget (p : Stmt.t) : string option =
       Engine.Budget.make ~max_states:baseline_env_default_states ()
     else budget
   in
-  let sc = Baselines.Sc.explore ~max_states:20_000 [ p ] in
+  let sc = Lazy.force s.sc in
   if sc.Baselines.Sc.truncated then None
   else begin
-    let cf = Baselines.Catchfire.explore [ p ] in
+    let cf = Baselines.Catchfire.of_sc sc in
     if
       (not sc.Baselines.Sc.races)
       && not
@@ -198,48 +219,35 @@ let check_baseline_env ~budget (p : Stmt.t) : string option =
     then Some "catch-fire disagrees with SC on a race-free program"
     else begin
       let d = Domain.of_stmts [ p ] in
+      let core =
+        match Seq_model.Core.create d with
+        | Some c -> c
+        | None -> raise Packed.Unpackable
+      in
       let cfg =
         Seq_model.Config.make ~perm:(Domain.na_set d) (Prog.init p)
       in
       let fuel = (16 * Stmt.size p) + 64 in
-      let tables = Seq_model.Config.make_tables d in
-      let behs = Seq_model.Behavior.enumerate ~budget ?tables d ~fuel cfg in
-      let seq_terms =
-        Seq_model.Behavior.Set.fold
-          (fun (evs, r) acc ->
-            match r with
-            | Seq_model.Behavior.Trm (v, _, _) ->
-              ( v,
-                List.filter_map
-                  (function Seq_model.Event.Out v -> Some v | _ -> None)
-                  evs )
-              :: acc
-            | _ -> acc)
-          behs []
+      let seq = Seq_model.Behavior.outcomes ~budget core ~fuel cfg in
+      let missing =
+        Baselines.Sc.Behavior_set.to_seq sc.Baselines.Sc.behaviors
+        |> Seq.find_map (function
+             | Baselines.Sc.Bot ->
+               if seq.Seq_model.Behavior.bot then None
+               else Some "an erroneous (Bot) behavior"
+             | Baselines.Sc.Ret [ (v, prints) ] ->
+               if
+                 Seq_model.Behavior.Outcome_set.mem (v, prints)
+                   seq.Seq_model.Behavior.returns
+               then None
+               else
+                 Some
+                   (Fmt.str "return %a with %d print(s)" Value.pp v
+                      (List.length prints))
+             | Baselines.Sc.Ret _ -> None)
       in
-      let seq_bot =
-        Seq_model.Behavior.Set.exists
-          (fun (_, r) -> r = Seq_model.Behavior.Bot)
-          behs
-      in
-      let missing = ref None in
-      Baselines.Sc.Behavior_set.iter
-        (fun b ->
-          if !missing = None then
-            match b with
-            | Baselines.Sc.Bot ->
-              if not seq_bot then missing := Some "an erroneous (Bot) behavior"
-            | Baselines.Sc.Ret [ (v, prints) ] ->
-              if not (List.mem (v, prints) seq_terms) then
-                missing :=
-                  Some
-                    (Fmt.str "return %a with %d print(s)" Value.pp v
-                       (List.length prints))
-            | Baselines.Sc.Ret _ -> ())
-        sc.Baselines.Sc.behaviors;
-      match !missing with
-      | None -> None
-      | Some what -> Some ("SC behavior missing from SEQ enumeration: " ^ what)
+      Option.map (fun what -> "SC behavior missing from SEQ enumeration: " ^ what)
+        missing
     end
   end
 
@@ -251,10 +259,12 @@ let check_baseline_env ~budget (p : Stmt.t) : string option =
    SC ⊆ TSO ⊆ ARMv8 chain the E15 grid pins on the catalog, here
    cross-checked on arbitrary generated programs).  Size-gated and
    truncation-skipped like {!check_baseline_env}: inclusion is a
-   statement about complete behavior sets. *)
-let hw_max_states = 20_000
-
-let check_baseline_hw ~budget machine (p : Stmt.t) : string option =
+   statement about complete behavior sets.  The SC side is the subject's
+   shared exploration, charged to [budget] exactly as
+   {!Backends.Registry.Sc_machine} charges its own, whether or not
+   another oracle forced it first. *)
+let check_baseline_hw ~budget machine (s : subject) : string option =
+  let p = s.prog in
   if Stmt.size p > baseline_env_max_size then None
   else
     let (module M : Backends.Backend.MACHINE) =
@@ -263,20 +273,23 @@ let check_baseline_hw ~budget machine (p : Stmt.t) : string option =
       | None -> invalid_arg ("Oracle.baseline-hw: unknown backend " ^ machine)
     in
     let sc =
-      Backends.Registry.Sc_machine.explore ~max_states:hw_max_states ~budget
-        [ p ]
+      Backends.Registry.of_sc
+        (Backends.Registry.sc_charged ~budget (fun () -> Lazy.force s.sc))
     in
     if sc.Backends.Backend.truncated then None
     else
-      let hw = M.explore ~max_states:hw_max_states ~budget [ p ] in
+      let hw = M.explore ~max_states:max_explore_states ~budget [ p ] in
       if hw.Backends.Backend.truncated then None
       else if Backends.Backend.subset ~small:sc ~big:hw then None
       else Some ("SC behavior missing under " ^ M.name)
 
-let check (k : kind) ~budget (p : Stmt.t) : string option =
+let check_subject (k : kind) ~budget (s : subject) : string option =
   match k with
-  | Pass_correct -> check_pass_correct ~budget p
-  | Analysis_sound -> check_analysis_sound ~budget p
-  | Lint_agree -> check_lint_agree ~budget p
-  | Baseline_env -> check_baseline_env ~budget p
-  | Baseline_hw m -> check_baseline_hw ~budget m p
+  | Pass_correct -> check_pass_correct ~budget s.prog
+  | Analysis_sound -> check_analysis_sound ~budget s.prog
+  | Lint_agree -> check_lint_agree ~budget s.prog
+  | Baseline_env -> check_baseline_env ~budget s
+  | Baseline_hw m -> check_baseline_hw ~budget m s
+
+let check (k : kind) ~budget (p : Stmt.t) : string option =
+  check_subject k ~budget (subject p)

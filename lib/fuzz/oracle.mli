@@ -20,8 +20,9 @@ type kind =
       (** a program {!Optimizer.Lint} raises no race/mixing diagnostic
           for has no dynamic racy access *)
   | Baseline_env
-      (** single-thread SC behaviors are included in SEQ's enumerated
-          behaviors; on race-free programs catch-fire agrees with SC *)
+      (** single-thread SC behaviors (return value, prints, ⊥) are among
+          SEQ's projected behaviors ({!Seq_model.Behavior.outcomes}); on
+          race-free programs catch-fire agrees with SC *)
   | Baseline_hw of string
       (** SC behaviors are included in the named hardware backend's
           ({!Backends.Registry} name; relaxation only ever adds
@@ -44,6 +45,34 @@ val of_string : string -> kind option
     Fig 6 enumeration) — also used to refute {!Planted} variants. *)
 val refines : budget:Engine.Budget.t -> src:Stmt.t -> tgt:Stmt.t -> bool
 
-(** Run one oracle.  [Some detail] is a finding; the detail string is
-    deterministic. *)
+(** One program prepared for the oracles.  It holds the program's SC
+    exploration ({!Baselines.Sc.explore}, at most 20 000 states), run
+    lazily on first demand and shared by [Baseline_env] and every
+    [Baseline_hw] check of the subject.  Build one per program inside the
+    task that checks it: a subject is not meant to be shared across
+    domains. *)
+type subject
+
+val subject : Stmt.t -> subject
+
+(** Run one oracle on a subject.  [Some detail] is a finding; the detail
+    string is deterministic.  Budget charges do not depend on which
+    oracles ran on the subject before: [Baseline_hw] charges the SC
+    exploration's states to [budget] even when the exploration was
+    already done. *)
+val check_subject :
+  kind -> budget:Engine.Budget.t -> subject -> string option
+
+(** [check k ~budget p] is [check_subject k ~budget (subject p)]. *)
 val check : kind -> budget:Engine.Budget.t -> Stmt.t -> string option
+
+(** The racy (kind, location) pairs of non-atomic accesses SEQ can
+    perform from any initial permission set and memory of the program's
+    2-valued domain (the [Analysis_sound] and [Lint_agree] side), sorted.
+    Walks interned {!Seq_model.Core} configurations through
+    {!Seq_model.Core.moves_next}, charging [budget] one state per
+    configuration.
+    @raise Lang.Packed.Unpackable beyond {!Lang.Packed.max_locs}
+    non-atomic locations. *)
+val dynamic_racy :
+  budget:Engine.Budget.t -> Stmt.t -> ([ `Read | `Write ] * Loc.t) list

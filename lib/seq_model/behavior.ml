@@ -120,6 +120,45 @@ let enumerate_ref ~budget (moves : Config.t -> Config.move list) ~fuel
    {!enumerate_ref}. *)
 module Int_set = Stdlib.Set.Make (Int)
 
+(* The memoized induction itself, over behaviors interned as ints.
+   [leaf id] is the set a configuration contributes at any fuel, [bot]
+   the behavior of a ⊥ move, and [edge ~src ~k evs subs acc] adds [subs],
+   the behaviors after move [k] of [src] (labels [evs]), to [acc]. *)
+let memo_fold ~budget (core : Core.t) ~fuel ~leaf ~bot ~edge id : Int_set.t =
+  let memo : (int * int, Int_set.t) Hashtbl.t = Hashtbl.create 64 in
+  let rec go fuel id =
+    match Hashtbl.find_opt memo (fuel, id) with
+    | Some s -> s
+    | None ->
+      Engine.Budget.spend_state budget;
+      let acc = leaf id in
+      let result =
+        if fuel = 0 then acc
+        else begin
+          let nexts = Core.moves_next core id in
+          let k = ref (-1) in
+          List.fold_left
+            (fun acc (evs, _) ->
+              incr k;
+              let k = !k in
+              let subs =
+                if nexts.(k) < 0 then Int_set.singleton bot
+                else go (fuel - 1) nexts.(k)
+              in
+              (* propagating a sub-behavior along an edge is the unit of
+                 work here (set insertions), so that is what the budget
+                 charges *)
+              Engine.Budget.spend_state ~n:(Int_set.cardinal subs) budget;
+              edge ~src:id ~k evs subs acc)
+            acc
+            (Core.moves_id core id)
+        end
+      in
+      Hashtbl.replace memo (fuel, id) result;
+      result
+  in
+  go fuel id
+
 let enumerate_core ~budget (core : Core.t) ~fuel (cfg : Config.t) : Set.t =
   let pk = Core.packed core in
   (* results: (kind, written mask, mem id, value id) -> dense id *)
@@ -167,60 +206,35 @@ let enumerate_core ~budget (core : Core.t) ~fuel (cfg : Config.t) : Set.t =
       bid
   in
   let bid_bot = behavior_of 0 rid_bot in
-  let memo : (int * int, Int_set.t) Hashtbl.t = Hashtbl.create 64 in
-  let rec go fuel id =
-    match Hashtbl.find_opt memo (fuel, id) with
-    | Some s -> s
-    | None ->
-      Engine.Budget.spend_state budget;
-      let c = Core.cfg core id in
-      let base_rid =
-        match Config.status c with
-        | Config.Term v ->
-          result_of
-            (2, Core.written_mask core id, Core.mem_id core id,
-             Packed.value_id pk v)
-            (fun () -> Trm (v, c.Config.written, c.Config.mem))
-        | Config.Running ->
-          result_of
-            (1, Core.written_mask core id, 0, 0)
-            (fun () -> Prt c.Config.written)
-      in
-      let acc = Int_set.singleton (behavior_of 0 base_rid) in
-      let result =
-        if fuel = 0 then acc
-        else begin
-          let nexts = Core.moves_next core id in
-          let k = ref (-1) in
-          List.fold_left
-            (fun acc (evs, _) ->
-              incr k;
-              let k = !k in
-              let subs =
-                if nexts.(k) < 0 then Int_set.singleton bid_bot
-                else go (fuel - 1) nexts.(k)
-              in
-              (* propagating a sub-behavior along an edge is the unit of
-                 work here (set insertions), so that is what the budget
-                 charges *)
-              Engine.Budget.spend_state ~n:(Int_set.cardinal subs) budget;
-              if evs = [] then Int_set.union subs acc
-              else
-                Int_set.fold
-                  (fun bid acc ->
-                    let tid, rid = Hashtbl.find behavior_rev bid in
-                    Int_set.add
-                      (behavior_of (prepend ~src:id ~k evs tid) rid)
-                      acc)
-                  subs acc)
-            acc
-            (Core.moves_id core id)
-        end
-      in
-      Hashtbl.replace memo (fuel, id) result;
-      result
+  let leaf id =
+    let c = Core.cfg core id in
+    let rid =
+      match Config.status c with
+      | Config.Term v ->
+        result_of
+          (2, Core.written_mask core id, Core.mem_id core id,
+           Packed.value_id pk v)
+          (fun () -> Trm (v, c.Config.written, c.Config.mem))
+      | Config.Running ->
+        result_of
+          (1, Core.written_mask core id, 0, 0)
+          (fun () -> Prt c.Config.written)
+    in
+    Int_set.singleton (behavior_of 0 rid)
   in
-  let top = go fuel (Core.intern core cfg) in
+  let edge ~src ~k evs subs acc =
+    if evs = [] then Int_set.union subs acc
+    else
+      Int_set.fold
+        (fun bid acc ->
+          let tid, rid = Hashtbl.find behavior_rev bid in
+          Int_set.add (behavior_of (prepend ~src ~k evs tid) rid) acc)
+        subs acc
+  in
+  let top =
+    memo_fold ~budget core ~fuel ~leaf ~bot:bid_bot ~edge
+      (Core.intern core cfg)
+  in
   (* materialize: each distinct trace is rebuilt once *)
   let trace_mat : (int, Event.t list) Hashtbl.t = Hashtbl.create 64 in
   let rec mat_trace tid =
@@ -239,6 +253,84 @@ let enumerate_core ~budget (core : Core.t) ~fuel (cfg : Config.t) : Set.t =
       let tid, rid = Hashtbl.find behavior_rev bid in
       Set.add (mat_trace tid, Hashtbl.find result_rev rid) acc)
     top Set.empty
+
+(* The same memoized induction, projected onto what an SC comparison
+   can observe: the (return value, printed values) of each terminating
+   behavior, and whether ⊥ is reachable.  Traces never materialize: a
+   printed-value list is interned as a value id consed onto a shorter
+   list, an outcome as (value id, list id) with id 0 reserved for ⊥, and
+   an edge prepends only its [Out] labels.  Both run on [memo_fold], so
+   the budget is charged as in [enumerate_core]: one state per distinct
+   (fuel, configuration) subproblem plus one per outcome propagated
+   along an edge. *)
+module Outcome_set = Stdlib.Set.Make (struct
+  type t = Value.t * Value.t list
+
+  let compare (v1, p1) (v2, p2) =
+    let c = Value.compare v1 v2 in
+    if c <> 0 then c else List.compare Value.compare p1 p2
+end)
+
+type outcomes = { returns : Outcome_set.t; bot : bool }
+
+let outcomes ~budget (core : Core.t) ~fuel (cfg : Config.t) : outcomes =
+  let pk = Core.packed core in
+  (* ids from 1: id 0 is the empty list, resp. ⊥ *)
+  let intern (ids : (int * int, int) Hashtbl.t) rev key =
+    match Hashtbl.find_opt ids key with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids + 1 in
+      Hashtbl.add ids key i;
+      Hashtbl.add rev i key;
+      i
+  in
+  let list_ids = Hashtbl.create 64 and list_rev = Hashtbl.create 64 in
+  let cons vid lid = intern list_ids list_rev (vid, lid) in
+  let outcome_ids = Hashtbl.create 64 and outcome_rev = Hashtbl.create 64 in
+  let outcome vid lid = intern outcome_ids outcome_rev (vid, lid) in
+  let leaf id =
+    match Config.status (Core.cfg core id) with
+    | Config.Term v -> Int_set.singleton (outcome (Packed.value_id pk v) 0)
+    | Config.Running -> Int_set.empty
+  in
+  let edge ~src:_ ~k:_ evs subs acc =
+    match
+      List.filter_map
+        (function Event.Out v -> Some (Packed.value_id pk v) | _ -> None)
+        evs
+    with
+    | [] -> Int_set.union subs acc
+    | outs ->
+      Int_set.fold
+        (fun oid acc ->
+          if oid = 0 then Int_set.add 0 acc
+          else
+            let vid, lid = Hashtbl.find outcome_rev oid in
+            Int_set.add (outcome vid (List.fold_right cons outs lid)) acc)
+        subs acc
+  in
+  let top =
+    memo_fold ~budget core ~fuel ~leaf ~bot:0 ~edge (Core.intern core cfg)
+  in
+  let rec values lid =
+    if lid = 0 then []
+    else
+      let vid, tl = Hashtbl.find list_rev lid in
+      Packed.value_of_id pk vid :: values tl
+  in
+  Int_set.fold
+    (fun oid o ->
+      if oid = 0 then { o with bot = true }
+      else
+        let vid, lid = Hashtbl.find outcome_rev oid in
+        {
+          o with
+          returns =
+            Outcome_set.add (Packed.value_of_id pk vid, values lid) o.returns;
+        })
+    top
+    { returns = Outcome_set.empty; bot = false }
 
 (** All behaviors of [cfg] generated by executions of at most [fuel]
     moves.  With [tables] the enumeration is memoized over hash-consed

@@ -524,8 +524,13 @@ let stmt_arbitrary cfg ~size =
 
 (* All (kind, loc) pairs of racy non-atomic accesses SEQ can actually
    perform, over every initial permission set and memory of the domain —
-   a bounded but exhaustive-within-fuel exploration via Config.moves. *)
-let dynamic_racy_pairs (s : Stmt.t) : ([ `Read | `Write ] * Loc.t) list =
+   a bounded but exhaustive-within-fuel exploration via Config.moves.
+   This set-based walk is the reference for the fuzz oracles' packed one
+   ({!Fuzz.Oracle.dynamic_racy}), which must visit the same
+   configurations in the same order: [budget] is charged one state per
+   visited configuration, as there. *)
+let dynamic_racy_pairs ?(budget = Engine.Budget.unlimited) (s : Stmt.t) :
+    ([ `Read | `Write ] * Loc.t) list =
   let module CSet = Set.Make (Seq_model.Config) in
   let d = Domain.of_stmts ~values:values2 [ s ] in
   let seen = ref CSet.empty in
@@ -534,6 +539,7 @@ let dynamic_racy_pairs (s : Stmt.t) : ([ `Read | `Write ] * Loc.t) list =
   let rec visit cfg =
     if !fuel > 0 && not (CSet.mem cfg !seen) then begin
       decr fuel;
+      Engine.Budget.spend_state budget;
       seen := CSet.add cfg !seen;
       (match Prog.step cfg.Seq_model.Config.prog with
        | Prog.Do_read (Mode.Rna, x, _)

@@ -89,9 +89,145 @@ let differential () =
           tr.Litmus.Catalog.name)
     (List.filter loopless Litmus.Catalog.transformations)
 
+(* ------------------------------------------------------------------ *)
+(* Projected outcomes: [B.outcomes] is exactly the (return value,
+   prints) / ⊥ projection of the full enumeration.  Every side runs under
+   a state budget; exhausting it fails the check with the program, so a
+   draw that makes the full-trace enumeration explode shows up as a
+   named failure, not a stall. *)
+
+let project (behs : B.Set.t) : B.outcomes =
+  B.Set.fold
+    (fun (evs, r) (o : B.outcomes) ->
+      match r with
+      | B.Trm (v, _, _) ->
+        let prints =
+          List.filter_map
+            (function Seq_model.Event.Out v -> Some v | _ -> None)
+            evs
+        in
+        { o with B.returns = B.Outcome_set.add (v, prints) o.B.returns }
+      | B.Bot -> { o with B.bot = true }
+      | B.Prt _ -> o)
+    behs
+    { B.returns = B.Outcome_set.empty; B.bot = false }
+
+let equal_outcomes (a : B.outcomes) (b : B.outcomes) =
+  B.Outcome_set.equal a.B.returns b.B.returns && a.B.bot = b.B.bot
+
+(* The baseline-env oracle's query: full permission, zero memory, its
+   fuel. *)
+let oracle_query p =
+  let d = Domain.of_stmts [ p ] in
+  let cfg = Seq_model.Config.make ~perm:(Domain.na_set d) (Prog.init p) in
+  (d, cfg, (16 * Stmt.size p) + 64)
+
+(* Each side's state budget.  Over 9000 loop-free size-7 draws the
+   memoized full-trace enumeration charged at most 332k states, the
+   reference 56k and [outcomes] 22k; the E12 programs below charge at most
+   1.06M (program 22, memoized full traces). *)
+let outcome_budget = 2_000_000
+
+(* [Some why] when some side disagrees; exhausting the budget on any side
+   fails loudly. *)
+let outcomes_mismatch ~reference p =
+  let d, cfg, fuel = oracle_query p in
+  let budget () = Engine.Budget.make ~max_states:outcome_budget () in
+  match Seq_model.Core.create d with
+  | None -> Some "domain does not pack"
+  | Some core -> (
+    match
+      let o = B.outcomes ~budget:(budget ()) core ~fuel cfg in
+      let tables = Seq_model.Config.make_tables d in
+      let memoized =
+        project (B.enumerate ~budget:(budget ()) ?tables d ~fuel cfg)
+      in
+      let recursive =
+        if reference then
+          Some (project (B.enumerate ~budget:(budget ()) d ~fuel cfg))
+        else None
+      in
+      (o, memoized, recursive)
+    with
+    | exception Engine.Budget.Exhausted _ ->
+      Some (Printf.sprintf "%d-state budget exhausted" outcome_budget)
+    | o, memoized, recursive ->
+      if not (equal_outcomes o memoized) then
+        Some "outcomes <> tables projection"
+      else if
+        match recursive with
+        | Some r -> not (equal_outcomes o r)
+        | None -> false
+      then Some "outcomes <> reference projection"
+      else None)
+
+let outcomes_projection =
+  QCheck.Test.make
+    ~name:"outcomes == projected enumeration (reference and tables), loop-free"
+    ~count:60
+    (QCheck.make
+       ~print:(fun p -> Stmt.to_string p)
+       (fun rand -> Gen.gen_program Gen.default_config rand ~size:7))
+    (fun p ->
+      match outcomes_mismatch ~reference:true p with
+      | None -> true
+      | Some why -> QCheck.Test.fail_reportf "%s on@.%s" why (Stmt.to_string p))
+
+(* The 30 fixed programs of the E12 enumeration-oracle row (bench/main.ml:
+   seed 42, loops, sizes 13-16).  The reference recursion takes tens of
+   seconds on them, so only the memoized enumeration is compared. *)
+let e12_programs () =
+  let rand = Random.State.make [| 42 |] in
+  List.init 30 (fun i ->
+      Gen.gen_program
+        { Gen.default_config with Gen.allow_loops = true }
+        rand ~size:(13 + (i mod 4)))
+
+let outcomes_e12 () =
+  List.iteri
+    (fun i p ->
+      if Seq_model.Config.make_tables (Domain.of_stmts [ p ]) <> None then
+        match outcomes_mismatch ~reference:false p with
+        | None -> ()
+        | Some why ->
+          Alcotest.failf "E12 program %d: %s on@.%s" i why (Stmt.to_string p))
+    (e12_programs ())
+
+(* A budget either suffices or stops the run: [outcomes] raises
+   [Exhausted] below the states a complete run charges and returns the
+   complete result at or above them, never a partial set. *)
+let outcomes_tiny_budget =
+  QCheck.Test.make ~name:"outcomes under a tiny budget: Exhausted or complete"
+    ~count:60
+    (QCheck.pair
+       (QCheck.make
+          ~print:(fun p -> Stmt.to_string p)
+          (fun rand -> Gen.gen_program Gen.default_config rand ~size:6))
+       (QCheck.int_bound 1_000))
+    (fun (p, k) ->
+      let d, cfg, fuel = oracle_query p in
+      match Seq_model.Core.create d with
+      | None -> QCheck.assume_fail ()
+      | Some core ->
+        let meter = Engine.Budget.make ~max_states:max_int () in
+        let full = B.outcomes ~budget:meter core ~fuel cfg in
+        let needed = Engine.Budget.states_used meter in
+        let k = k mod (needed + 2) in
+        let fresh = Option.get (Seq_model.Core.create d) in
+        (match
+           B.outcomes ~budget:(Engine.Budget.make ~max_states:k ()) fresh ~fuel
+             cfg
+         with
+         | o -> k >= needed && equal_outcomes o full
+         | exception Engine.Budget.Exhausted Engine.Budget.States -> k < needed))
+
 let suite =
   [
     test "Example 2.2 behaviors" example_2_2;
+    QCheck_alcotest.to_alcotest ~long:false outcomes_projection;
+    QCheck_alcotest.to_alcotest ~long:false outcomes_tiny_budget;
+    Alcotest.test_case "outcomes == projected enumeration on the E12 programs"
+      `Quick outcomes_e12;
     Alcotest.test_case "enumeration vs game differential (loop-free corpus)"
       `Slow differential;
     test "behavior ⊑: source ⊥ matches extensions" (fun () ->

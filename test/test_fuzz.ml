@@ -470,6 +470,69 @@ let test_campaign_resume_warm () =
   Alcotest.(check bool) "coverage points are monotone across runs" true
     (c2.Fuzz.Campaign.cov_points >= c1.Fuzz.Campaign.cov_points)
 
+(* ------------------------------------------------------------------ *)
+(* 9. Oracle work: the packed race walk against its set-based reference,
+   and the per-program shared SC exploration's budget charges. *)
+
+(* The campaign's phase configs, loops included. *)
+let phase_programs =
+  QCheck.make
+    ~print:(fun p -> Stmt.to_string p)
+    (fun rand ->
+      let phases = Fuzz.Campaign.default_phases in
+      let ph = List.nth phases (Random.State.int rand (List.length phases)) in
+      Stmt.normalize
+        (Gen.gen_program ph.Fuzz.Campaign.cfg rand ~size:ph.Fuzz.Campaign.size))
+
+(* Both walks under one state cap (below the reference's 30 000-visit
+   fuel, so the cap, not the fuel, stops a long walk): same pairs, same
+   states charged, or both exhausted. *)
+let racy_walk_run walk p =
+  let budget = Engine.Budget.make ~max_states:20_000 () in
+  let r =
+    match walk ~budget p with
+    | pairs -> Some pairs
+    | exception Engine.Budget.Exhausted _ -> None
+  in
+  (r, Engine.Budget.states_used budget)
+
+let packed_racy_walk =
+  QCheck.Test.make
+    ~name:"packed dynamic_racy == set-based walk (pairs and states)"
+    ~count:60 phase_programs
+    (fun p ->
+      let packed = racy_walk_run Fuzz.Oracle.dynamic_racy p in
+      let reference =
+        racy_walk_run
+          (fun ~budget p -> Test_analysis.dynamic_racy_pairs ~budget p)
+          p
+      in
+      packed = reference)
+
+(* Baseline-hw charges the SC exploration's states whether it runs the
+   exploration itself or finds it already forced by baseline-env. *)
+let hw_charge_independent =
+  QCheck.Test.make
+    ~name:"baseline-hw charges the same states with the SC result shared"
+    ~count:40 phase_programs
+    (fun p ->
+      let hw = Fuzz.Oracle.Baseline_hw Fuzz.Oracle.default_hw in
+      let run_hw subject =
+        let budget = Engine.Budget.make ~max_states:1_000_000 () in
+        let r = Fuzz.Oracle.check_subject hw ~budget subject in
+        (r, Engine.Budget.states_used budget)
+      in
+      let alone = run_hw (Fuzz.Oracle.subject p) in
+      let shared = Fuzz.Oracle.subject p in
+      (match
+         Fuzz.Oracle.check_subject Fuzz.Oracle.Baseline_env
+           ~budget:(Engine.Budget.make ~max_states:1_000_000 ())
+           shared
+       with
+       | _ -> ()
+       | exception Engine.Budget.Exhausted _ -> ());
+      alone = run_hw shared)
+
 let qsuite = List.map (QCheck_alcotest.to_alcotest ~long:false)
 
 let suite =
@@ -484,6 +547,8 @@ let suite =
       passes_never_flagged;
       coverage_signals_deterministic;
       guided_campaign_jobs_deterministic;
+      packed_racy_walk;
+      hw_charge_independent;
     ]
   @ [
       Alcotest.test_case "round-trip: negative constants" `Quick

@@ -52,6 +52,25 @@ let test_zero_deadline_deterministic () =
   | () -> Alcotest.fail "expected Exhausted Deadline on first check"
   | exception B.Exhausted B.Deadline -> ()
 
+(* A deadline is measured on the monotonic clock: it fires no earlier
+   than its timeout after [start], and the clock never reads backwards. *)
+let test_deadline_monotonic () =
+  let t0 = Engine.Clock.now () in
+  let b = B.start (B.spec ~timeout_ms:20. ()) in
+  let last = ref t0 in
+  (match
+     while true do
+       let t = Engine.Clock.now () in
+       if t < !last then Alcotest.fail "Clock.now went backwards";
+       last := t;
+       B.check b
+     done
+   with
+   | () -> ()
+   | exception B.Exhausted B.Deadline -> ());
+  Alcotest.(check bool) "fired no earlier than 20 ms after start" true
+    (Engine.Clock.now () -. t0 >= 0.020)
+
 let test_fuel_budget () =
   let b = B.start (B.spec ~fuel:2 ()) in
   B.spend_fuel b;
@@ -359,6 +378,8 @@ let suite =
       test_state_budget_exhausts;
     Alcotest.test_case "budget: 0ms deadline fires on first check" `Quick
       test_zero_deadline_deterministic;
+    Alcotest.test_case "budget: deadline on the monotonic clock" `Quick
+      test_deadline_monotonic;
     Alcotest.test_case "budget: fuel budget exhausts" `Quick test_fuel_budget;
     Alcotest.test_case "verdict: transience classification" `Quick
       test_transience_classification;
