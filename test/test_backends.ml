@@ -193,6 +193,82 @@ let chain_qcheck =
       sc.B.truncated || tso.B.truncated || arm.B.truncated
       || (B.subset ~small:sc ~big:tso && B.subset ~small:tso ~big:arm))
 
+(* The exploration work of the SC, catch-fire, TSO and ARMv8 machines,
+   pinned per program: distinct states, truncation, the race verdict and
+   the behavior-set size, plus SC's strict-race locations (the DRF-SC and
+   DRF-LOCK premises).  A change to a machine's state equivalence, or to
+   where truncation falls, shows up here.  loop.wm's release store grows
+   the vector clock on every iteration, so it truncates under every
+   machine; ARMv8 explores it at 2 000 states, because its per-location
+   history also grows by one message per iteration and the exploration
+   turns quadratic (20 000 states take over a minute).  The grid
+   programs are all race-free, so two more rows pin a racy program and
+   a CAS lock (the RMW path). *)
+let loop_wm = "a = 0; while (a < 2) { Y.store(rel, 1); a = 0 }; return a"
+
+let racy_mp =
+  "X.store(na,1); Y.store(rlx,1); return 0 ||| \
+   a = Y.load(rlx); b = X.load(na); return 10*a+b"
+
+let cas_lock =
+  "a = 0; while a == 0 { a = cas(L, 0, 1) }; X.store(na, 1); \
+   L.store(rel, 0) ||| \
+   b = 0; while b == 0 { b = cas(L, 0, 1) }; c = X.load(na); \
+   L.store(rel, 0); return c"
+
+let work_row ~max_states (name, text) =
+  let progs = threads text in
+  let machines =
+    List.map
+      (fun m ->
+        let (module M : B.MACHINE) = Option.get (Registry.find m) in
+        let r = M.explore ~max_states:(max_states m) progs in
+        Fmt.str "%s %d %b %b %d" m r.B.states r.B.truncated r.B.races
+          (B.Behavior_set.cardinal r.B.behaviors))
+      [ "sc"; "catchfire"; "tso"; "armv8" ]
+  in
+  let sc = Sc.explore ~max_states:(max_states "sc") progs in
+  Fmt.str "%s: %s; strict {%s}" name (String.concat ", " machines)
+    (String.concat "," (List.map Loc.name (Loc.Set.elements sc.Sc.strict_race_locs)))
+
+let pinned_work_expected =
+  [
+    "SB-rlx: sc 28 false false 3, catchfire 28 false false 3, tso 77 false false 4, armv8 77 false false 4; strict {Y,Z}";
+    "SB-sc-fence: sc 50 false false 3, catchfire 50 false false 3, tso 61 false false 3, armv8 69 false false 3; strict {Y,Z}";
+    "MP-rel-acq: sc 24 false false 2, catchfire 24 false false 2, tso 28 false false 2, armv8 34 false false 2; strict {Y}";
+    "MP-rlx: sc 24 false false 2, catchfire 24 false false 2, tso 44 false false 2, armv8 64 false false 3; strict {Y,Z}";
+    "MP-fences: sc 44 false false 2, catchfire 44 false false 2, tso 65 false false 2, armv8 89 false false 2; strict {Y}";
+    "LB-rlx: sc 28 false false 3, catchfire 28 false false 3, tso 56 false false 3, armv8 56 false false 3; strict {Y,Z}";
+    "IRIW-rlx: sc 652 false false 15, catchfire 652 false false 15, tso 1116 false false 15, armv8 1132 false false 16; strict {Y,Z}";
+    "R-rlx: sc 354 false false 13, catchfire 354 false false 13, tso 807 false false 14, armv8 1071 false false 14; strict {Y,Z}";
+    "S-rlx: sc 354 false false 13, catchfire 354 false false 13, tso 754 false false 13, armv8 946 false false 14; strict {Y,Z}";
+    "WRC-rlx: sc 138 false false 7, catchfire 138 false false 7, tso 254 false false 7, armv8 262 false false 8; strict {Y,Z}";
+    "CoRR-rlx: sc 22 false false 3, catchfire 22 false false 3, tso 30 false false 3, armv8 30 false false 3; strict {Y}";
+    "racy-MP: sc 28 false true 3, catchfire 28 false true 4, tso 52 false true 3, armv8 70 false true 4; strict {X,Y}";
+    "cas-lock: sc 79 false false 2, catchfire 79 false false 2, tso 86 false false 2, armv8 86 false false 2; strict {L}";
+    "loop.wm: sc 20000 true false 0, catchfire 20000 true false 0, tso 20000 true false 0, armv8 2000 true false 0; strict {}";
+  ]
+
+let pinned_work =
+  test "pinned exploration work on the grid programs and loop.wm" (fun () ->
+      let grid =
+        List.map
+          (fun (ge : Litmus.Catalog.grid_entry) ->
+            let c = ge.Litmus.Catalog.g in
+            work_row ~max_states:(fun _ -> 20_000)
+              (c.Litmus.Catalog.cname, c.Litmus.Catalog.threads))
+          Litmus.Catalog.grid_programs
+        @ List.map
+            (work_row ~max_states:(fun _ -> 20_000))
+            [ ("racy-MP", racy_mp); ("cas-lock", cas_lock) ]
+      in
+      let loop =
+        work_row
+          ~max_states:(fun m -> if m = "armv8" then 2_000 else 20_000)
+          ("loop.wm", loop_wm)
+      in
+      Alcotest.(check (list string)) "work" pinned_work_expected (grid @ [ loop ]))
+
 let suite =
   separation_tests @ machine_tests @ registry_tests
-  @ [ chain_on_catalog; QCheck_alcotest.to_alcotest chain_qcheck ]
+  @ [ pinned_work; chain_on_catalog; QCheck_alcotest.to_alcotest chain_qcheck ]
