@@ -30,9 +30,11 @@
     not exhibited; MP-rlx and SB are.  It is also not multi-copy-atomic
     (stale reads are per-thread), so IRIW-style outcomes are permitted —
     weaker than real ARMv8, which is OMCA; the E15 grid documents this.
-    Race detection ({!Hb}) is the shared happens-before discipline. *)
+    Race detection ({!Hb}) is the shared happens-before discipline, and
+    the exploration is the shared {!Baselines.Explore}. *)
 
 open Lang
+open Baselines
 
 type msg = {
   v : Value.t;
@@ -49,8 +51,6 @@ type state = {
 }
 
 let name = "armv8"
-
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
 let init_msg = { v = Value.zero; view = Loc.Map.empty }
 let hist_of st x = Loc.Map.find_default ~default:[ init_msg ] x st.hist
 let newest st x = List.length (hist_of st x) - 1
@@ -69,7 +69,7 @@ let raise_floor st tid x i =
   if i <= floor_of st tid x then st
   else
     let f = Loc.Map.add x i (List.nth st.floors tid) in
-    { st with floors = set_nth st.floors tid f }
+    { st with floors = Explore.set_nth st.floors tid f }
 
 let join_view st tid (view : int Loc.Map.t) =
   Loc.Map.fold (fun x i st -> raise_floor st tid x i) view st
@@ -89,7 +89,7 @@ let commit st tid x v =
 
 let drain_all st tid =
   let buf = List.nth st.bufs tid in
-  let st = { st with bufs = set_nth st.bufs tid [] } in
+  let st = { st with bufs = Explore.set_nth st.bufs tid [] } in
   List.fold_left (fun st (x, v) -> commit st tid x v) st buf
 
 (* Buffer entries drainable now: the first entry of each location
@@ -111,11 +111,12 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
     [ `Next of state | `Ub ] list =
   let prog = List.nth st.progs tid in
   let buf = List.nth st.bufs tid in
-  let with_prog st p = { st with progs = set_nth st.progs tid p } in
+  let with_prog st p = { st with progs = Explore.set_nth st.progs tid p } in
   let drains =
     List.map
       (fun (idx, x, v) ->
-        let st = { st with bufs = set_nth st.bufs tid (remove_nth buf idx) } in
+        let bufs = Explore.set_nth st.bufs tid (remove_nth buf idx) in
+        let st = { st with bufs } in
         `Next (commit st tid x v))
       (drainable buf)
   in
@@ -136,7 +137,7 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
     | Prog.Undefined -> [ `Ub ]
     | Prog.Silent p -> [ `Next (with_prog st p) ]
     | Prog.Do_out (v, p) ->
-      let outs = set_nth st.outs tid (v :: List.nth st.outs tid) in
+      let outs = Explore.set_nth st.outs tid (v :: List.nth st.outs tid) in
       [ `Next (with_prog { st with outs } p) ]
     | Prog.Choice f -> List.map (fun v -> `Next (with_prog st (f v))) values
     | Prog.Do_read (o, x, f) ->
@@ -157,7 +158,7 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
       end
       else begin
         let st = { st with hb = Hb.write st.hb ~tid x ~atomic ~rel:false } in
-        let bufs = set_nth st.bufs tid (buf @ [ (x, v) ]) in
+        let bufs = Explore.set_nth st.bufs tid (buf @ [ (x, v) ]) in
         [ `Next (with_prog { st with bufs } p) ]
       end
     | Prog.Do_update (x, f) ->
@@ -192,22 +193,8 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
   in
   drains @ prog_steps
 
-let terminal_behavior st =
-  if not (List.for_all (fun b -> b = []) st.bufs) then None
-  else
-    let rec go acc progs outs =
-      match (progs, outs) with
-      | [], [] -> Some (Backend.Ret (List.rev acc))
-      | p :: ps, o :: os ->
-        (match Prog.step p with
-         | Prog.Terminated v -> go ((v, List.rev o) :: acc) ps os
-         | _ -> None)
-      | _ -> None
-    in
-    go [] st.progs st.outs
-
-module State_key = struct
-  type t = state
+module Step = struct
+  type nonrec state = state
 
   let compare_msg m1 m2 =
     let c = Value.compare m1.v m2.v in
@@ -236,61 +223,31 @@ module State_key = struct
               List.compare (List.compare Value.compare) s1.outs s2.outs
             in
             if c <> 0 then c else Hb.compare s1.hb s2.hb
-end
 
-module State_set = Set.Make (State_key)
-
-(** Exhaustive bounded ARMv8 exploration. *)
-let explore ?(values = Backend.default_values)
-    ?(max_states = Backend.default_max_states)
-    ?(budget = Engine.Budget.unlimited) (progs : Stmt.t list) :
-    Backend.result =
-  let n = List.length progs in
-  let init =
+  let init progs =
+    let n = List.length progs in
     {
-      progs = List.map (fun p -> Prog.init p) progs;
+      progs = List.map Prog.init progs;
       bufs = List.init n (fun _ -> []);
       hist = Loc.Map.empty;
       floors = List.init n (fun _ -> Loc.Map.empty);
       outs = List.init n (fun _ -> []);
       hb = Hb.make n;
     }
-  in
-  let visited = ref State_set.empty in
-  let n_visited = ref 0 in
-  let behaviors = ref Backend.Behavior_set.empty in
-  let races = ref false in
-  let truncated = ref false in
-  let queue = Queue.create () in
-  let push st =
-    if not (State_set.mem st !visited) then
-      if !n_visited >= max_states then truncated := true
-      else begin
-        Engine.Budget.spend_state budget;
-        visited := State_set.add st !visited;
-        incr n_visited;
-        Queue.push st queue
-      end
-  in
-  push init;
-  while not (Queue.is_empty queue) do
-    Engine.Budget.check budget;
-    let st = Queue.pop queue in
-    if Hb.raced st.hb then races := true;
-    (match terminal_behavior st with
-     | Some b -> behaviors := Backend.Behavior_set.add b !behaviors
-     | None -> ());
-    for tid = 0 to n - 1 do
-      List.iter
-        (function
-          | `Ub -> behaviors := Backend.Behavior_set.add Backend.Bot !behaviors
-          | `Next st' -> push st')
-        (thread_steps values st tid)
-    done
-  done;
-  {
-    Backend.behaviors = !behaviors;
-    races = !races;
-    truncated = !truncated;
-    states = !n_visited;
-  }
+
+  let progs st = st.progs
+  let outs st = st.outs
+  let drained st = List.for_all (fun b -> b = []) st.bufs
+  let thread_steps = thread_steps
+
+  type race = bool
+
+  let no_race = false
+  let observe races st = races || Hb.raced st.hb
+end
+
+module E = Explore.Make (Step)
+
+(** Exhaustive bounded ARMv8 exploration. *)
+let explore ?values ?max_states ?budget progs =
+  Backend.of_explore (E.explore ?values ?max_states ?budget progs)

@@ -27,8 +27,13 @@ module type MACHINE = sig
     result
 end
 
-let default_values = [ Value.Int 0; Value.Int 1; Value.Int 2 ]
-let default_max_states = 200_000
+let of_explore (r : bool Baselines.Explore.result) : result =
+  {
+    behaviors = r.Baselines.Explore.behaviors;
+    races = r.Baselines.Explore.races;
+    truncated = r.Baselines.Explore.truncated;
+    states = r.Baselines.Explore.states;
+  }
 
 let refines ~(src : result) ~(tgt : result) : bool =
   Promising.Machine.refines ~src:src.behaviors ~tgt:tgt.behaviors

@@ -53,11 +53,9 @@ module type MACHINE = sig
     result
 end
 
-(** Default exploration parameters, shared by every backend (they match
-    {!Baselines.Sc.explore}). *)
-val default_values : Value.t list
-
-val default_max_states : int
+(** A {!Baselines.Explore} result whose race observation is the data-race
+    flag. *)
+val of_explore : bool Baselines.Explore.result -> result
 
 (** [refines ~src ~tgt]: every target behavior is ⊑-matched by a source
     behavior; a source ⊥ matches everything (Def 5.3 lifted to any

@@ -1,15 +1,6 @@
 (** The backend registry: every machine behind {!Backend.MACHINE}, by
     name (see registry.mli). *)
 
-(* The SC explorer predates budgets: [budget] is checked up front (so an
-   already-exhausted budget still stops immediately) and charged the
-   whole exploration after the fact. *)
-let sc_charged ~budget run =
-  Engine.Budget.check budget;
-  let r = run () in
-  Engine.Budget.spend_state ~n:r.Baselines.Sc.states budget;
-  r
-
 let of_sc (r : Baselines.Sc.result) : Backend.result =
   {
     Backend.behaviors = r.Baselines.Sc.behaviors;
@@ -22,10 +13,8 @@ let of_sc (r : Baselines.Sc.result) : Backend.result =
 module Sc_machine : Backend.MACHINE = struct
   let name = "sc"
 
-  let explore ?values ?max_states ?(budget = Engine.Budget.unlimited) progs =
-    of_sc
-      (sc_charged ~budget (fun () ->
-           Baselines.Sc.explore ?values ?max_states progs))
+  let explore ?values ?max_states ?budget progs =
+    of_sc (Baselines.Sc.explore ?values ?max_states ?budget progs)
 end
 
 (** Catch-fire as a backend: the SC exploration, post-processed by
@@ -33,11 +22,8 @@ end
 module Catchfire_machine : Backend.MACHINE = struct
   let name = "catchfire"
 
-  let explore ?values ?max_states ?(budget = Engine.Budget.unlimited) progs =
-    let r =
-      sc_charged ~budget (fun () ->
-          Baselines.Sc.explore ?values ?max_states progs)
-    in
+  let explore ?values ?max_states ?budget progs =
+    let r = Baselines.Sc.explore ?values ?max_states ?budget progs in
     {
       (of_sc r) with
       Backend.behaviors =

@@ -2,12 +2,6 @@
     name.  CLI drivers validate [--backend] against {!names} (via
     {!Engine.Cliopts.validate_choice}) and dispatch via {!find}. *)
 
-(** [sc_charged ~budget run] runs (or forces) an SC exploration the way
-    {!Sc_machine} charges one: [budget] is checked before [run ()] and
-    charged its [states] after.  The SC explorer itself takes no budget. *)
-val sc_charged :
-  budget:Engine.Budget.t -> (unit -> Baselines.Sc.result) -> Baselines.Sc.result
-
 (** An SC result under the shared signature. *)
 val of_sc : Baselines.Sc.result -> Backend.result
 

@@ -15,9 +15,11 @@
 
     Terminal behaviors require every buffer to be empty: a run ends
     only once all its stores have committed.  Race detection ({!Hb}) is
-    the same happens-before discipline as the SC baseline. *)
+    the same happens-before discipline as the SC baseline, and the
+    exploration is the shared {!Baselines.Explore}. *)
 
 open Lang
+open Baselines
 
 type state = {
   progs : Prog.state list;
@@ -29,7 +31,6 @@ type state = {
 
 let name = "tso"
 
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
 let read_mem st x = Loc.Map.find_default ~default:Value.zero x st.mem
 
 (* Newest own-buffer entry for [x], if any. *)
@@ -41,7 +42,7 @@ let forwarded buf x =
 let drain_all st tid =
   let buf = List.nth st.bufs tid in
   let mem = List.fold_left (fun m (x, v) -> Loc.Map.add x v m) st.mem buf in
-  { st with mem; bufs = set_nth st.bufs tid [] }
+  { st with mem; bufs = Explore.set_nth st.bufs tid [] }
 
 (** Successors of [st] by one step of thread [tid]: an optional drain of
     its oldest buffered store, plus its program step (if any), plus a UB
@@ -50,13 +51,17 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
     [ `Next of state | `Ub ] list =
   let prog = List.nth st.progs tid in
   let buf = List.nth st.bufs tid in
-  let with_prog st p = { st with progs = set_nth st.progs tid p } in
+  let with_prog st p = { st with progs = Explore.set_nth st.progs tid p } in
   let drains =
     match buf with
     | [] -> []
     | (x, v) :: rest ->
       [ `Next
-          { st with bufs = set_nth st.bufs tid rest; mem = Loc.Map.add x v st.mem }
+          {
+            st with
+            bufs = Explore.set_nth st.bufs tid rest;
+            mem = Loc.Map.add x v st.mem;
+          };
       ]
   in
   let prog_steps =
@@ -65,7 +70,7 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
     | Prog.Undefined -> [ `Ub ]
     | Prog.Silent p -> [ `Next (with_prog st p) ]
     | Prog.Do_out (v, p) ->
-      let outs = set_nth st.outs tid (v :: List.nth st.outs tid) in
+      let outs = Explore.set_nth st.outs tid (v :: List.nth st.outs tid) in
       [ `Next (with_prog { st with outs } p) ]
     | Prog.Choice f -> List.map (fun v -> `Next (with_prog st (f v))) values
     | Prog.Do_read (o, x, f) ->
@@ -93,7 +98,7 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
       end
       else begin
         let st = { st with hb = Hb.write st.hb ~tid x ~atomic ~rel:false } in
-        let bufs = set_nth st.bufs tid (buf @ [ (x, v) ]) in
+        let bufs = Explore.set_nth st.bufs tid (buf @ [ (x, v) ]) in
         [ `Next (with_prog { st with bufs } p) ]
       end
     | Prog.Do_update (x, f) ->
@@ -115,23 +120,8 @@ let thread_steps (values : Value.t list) (st : state) (tid : int) :
   in
   drains @ prog_steps
 
-(* A run terminates only once every buffer has committed. *)
-let terminal_behavior st =
-  if not (List.for_all (fun b -> b = []) st.bufs) then None
-  else
-    let rec go acc progs outs =
-      match (progs, outs) with
-      | [], [] -> Some (Backend.Ret (List.rev acc))
-      | p :: ps, o :: os ->
-        (match Prog.step p with
-         | Prog.Terminated v -> go ((v, List.rev o) :: acc) ps os
-         | _ -> None)
-      | _ -> None
-    in
-    go [] st.progs st.outs
-
-module State_key = struct
-  type t = state
+module Step = struct
+  type nonrec state = state
 
   let compare_buf = List.compare (fun (x1, v1) (x2, v2) ->
       let c = Loc.compare x1 x2 in
@@ -151,61 +141,33 @@ module State_key = struct
             List.compare (List.compare Value.compare) s1.outs s2.outs
           in
           if c <> 0 then c else Hb.compare s1.hb s2.hb
-end
 
-module State_set = Set.Make (State_key)
-
-(** Exhaustive x86-TSO exploration (breadth-first over the interleaving
-    of program and drain steps). *)
-let explore ?(values = Backend.default_values)
-    ?(max_states = Backend.default_max_states)
-    ?(budget = Engine.Budget.unlimited) (progs : Stmt.t list) :
-    Backend.result =
-  let n = List.length progs in
-  let init =
+  let init progs =
+    let n = List.length progs in
     {
-      progs = List.map (fun p -> Prog.init p) progs;
+      progs = List.map Prog.init progs;
       bufs = List.init n (fun _ -> []);
       mem = Loc.Map.empty;
       outs = List.init n (fun _ -> []);
       hb = Hb.make n;
     }
-  in
-  let visited = ref State_set.empty in
-  let n_visited = ref 0 in
-  let behaviors = ref Backend.Behavior_set.empty in
-  let races = ref false in
-  let truncated = ref false in
-  let queue = Queue.create () in
-  let push st =
-    if not (State_set.mem st !visited) then
-      if !n_visited >= max_states then truncated := true
-      else begin
-        Engine.Budget.spend_state budget;
-        visited := State_set.add st !visited;
-        incr n_visited;
-        Queue.push st queue
-      end
-  in
-  push init;
-  while not (Queue.is_empty queue) do
-    Engine.Budget.check budget;
-    let st = Queue.pop queue in
-    if Hb.raced st.hb then races := true;
-    (match terminal_behavior st with
-     | Some b -> behaviors := Backend.Behavior_set.add b !behaviors
-     | None -> ());
-    for tid = 0 to n - 1 do
-      List.iter
-        (function
-          | `Ub -> behaviors := Backend.Behavior_set.add Backend.Bot !behaviors
-          | `Next st' -> push st')
-        (thread_steps values st tid)
-    done
-  done;
-  {
-    Backend.behaviors = !behaviors;
-    races = !races;
-    truncated = !truncated;
-    states = !n_visited;
-  }
+
+  let progs st = st.progs
+  let outs st = st.outs
+
+  (* A run terminates only once every buffer has committed. *)
+  let drained st = List.for_all (fun b -> b = []) st.bufs
+  let thread_steps = thread_steps
+
+  type race = bool
+
+  let no_race = false
+  let observe races st = races || Hb.raced st.hb
+end
+
+module E = Explore.Make (Step)
+
+(** Exhaustive x86-TSO exploration (breadth-first over the interleaving
+    of program and drain steps). *)
+let explore ?values ?max_states ?budget progs =
+  Backend.of_explore (E.explore ?values ?max_states ?budget progs)

@@ -22,8 +22,8 @@ let of_sc (r : Sc.result) : result =
     { behaviors = Sc.Behavior_set.add Sc.Bot r.Sc.behaviors; catches_fire = true }
   else { behaviors = r.Sc.behaviors; catches_fire = false }
 
-let explore ?values ?max_states (progs : Stmt.t list) : result =
-  of_sc (Sc.explore ?values ?max_states progs)
+let explore ?values ?max_states ?budget (progs : Stmt.t list) : result =
+  of_sc (Sc.explore ?values ?max_states ?budget progs)
 
 (** Contextual refinement under catch-fire: every target behavior must be
     matched (⊥ in the source matches everything).  Load introduction fails

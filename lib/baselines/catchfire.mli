@@ -15,7 +15,12 @@ type result = {
 val of_sc : Sc.result -> result
 
 (** [explore progs] is [of_sc (Sc.explore progs)]. *)
-val explore : ?values:Value.t list -> ?max_states:int -> Stmt.t list -> result
+val explore :
+  ?values:Value.t list ->
+  ?max_states:int ->
+  ?budget:Engine.Budget.t ->
+  Stmt.t list ->
+  result
 
 (** Contextual refinement under catch-fire (⊥ in the source matches
     everything). *)

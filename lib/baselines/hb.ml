@@ -1,21 +1,18 @@
-(** Happens-before data-race detection shared by the hardware machines.
+(** Happens-before data-race detection shared by the SC, TSO and ARMv8
+    machines.
 
-    This is the SC baseline's vector-clock discipline
-    ({!Baselines.Sc}) factored into a self-contained component the
-    store-buffer machines thread through their states: synchronization
-    order (release/acquire edges, RMWs, fences) is the same under SC,
-    TSO and ARMv8 — buffering relaxes {e visibility}, not happens-before
-    — so the race verdicts of all backends use one definition: a race is
-    a conflicting unordered pair with at least one non-atomic access
-    (§5).
+    A self-contained component each machine threads through its states:
+    synchronization order (release/acquire edges, RMWs, fences) is the
+    same under SC, TSO and ARMv8 — buffering relaxes {e visibility}, not
+    happens-before — so the race verdicts of all machines use one
+    definition: a race is a conflicting unordered pair with at least one
+    non-atomic access (§5).
 
     The per-location access history ([meta]) is deliberately excluded
-    from {!compare}, mirroring {!Baselines.Sc.State_key}: it is a
-    function of the history already summarised by (clocks, raced) for
-    exploration purposes. *)
+    from {!compare}: it is a function of the history already summarised
+    by (clocks, raced) for exploration purposes. *)
 
 open Lang
-module Vclock = Baselines.Vclock
 
 type loc_meta = {
   w_na : (int * int) option;  (* epoch of last non-atomic write *)
@@ -51,9 +48,13 @@ let empty_meta n =
     release = Vclock.make n;
   }
 
-let get_meta h x = Loc.Map.find_default ~default:(empty_meta h.n) x h.meta
+(* The default history is built only for a location not accessed yet. *)
+let get_meta h x =
+  match Loc.Map.find x h.meta with
+  | m -> m
+  | exception Not_found -> empty_meta h.n
+
 let epoch_ok e c = match e with None -> true | Some ep -> Vclock.epoch_le ep c
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
 
 let racy_read h tid x ~atomic =
   let m = get_meta h x in
@@ -69,6 +70,11 @@ let racy_write h tid x ~atomic =
     not
       (epoch_ok m.w_na c && epoch_ok m.w_at c && Vclock.le m.r_na c
      && Vclock.le m.r_at c)
+
+(* A strict race ignores access modes: the access conflicts as if it
+   were non-atomic. *)
+let strict_read_race h ~tid x = racy_read h tid x ~atomic:false
+let strict_write_race h ~tid x = racy_write h tid x ~atomic:false
 
 let record_read h tid x ~atomic =
   let m = get_meta h x in
@@ -90,33 +96,41 @@ let record_write h tid x ~atomic =
 let do_acquire h tid x =
   let m = get_meta h x in
   let c = Vclock.join (List.nth h.clocks tid) m.release in
-  { h with clocks = set_nth h.clocks tid c }
+  { h with clocks = Explore.set_nth h.clocks tid c }
 
 (* Release: tick our clock and publish it on the location. *)
 let do_release h tid x =
   let c = Vclock.tick (List.nth h.clocks tid) tid in
-  let h = { h with clocks = set_nth h.clocks tid c } in
+  let h = { h with clocks = Explore.set_nth h.clocks tid c } in
   let m = get_meta h x in
   let m = { m with release = Vclock.join m.release c } in
   { h with meta = Loc.Map.add x m h.meta }
 
 (** A read access: race check against the pre-state, acquire
-    synchronisation when [acq], then history recording — the same order
-    as the SC baseline. *)
+    synchronisation when [acq], then history recording. *)
 let read h ~tid x ~atomic ~acq =
-  let h = { h with raced = h.raced || racy_read h tid x ~atomic } in
+  let h =
+    if h.raced || not (racy_read h tid x ~atomic) then h
+    else { h with raced = true }
+  in
   let h = if acq then do_acquire h tid x else h in
   record_read h tid x ~atomic
 
 let write h ~tid x ~atomic ~rel =
-  let h = { h with raced = h.raced || racy_write h tid x ~atomic } in
+  let h =
+    if h.raced || not (racy_write h tid x ~atomic) then h
+    else { h with raced = true }
+  in
   let h = if rel then do_release h tid x else h in
   record_write h tid x ~atomic
 
 (** An RMW: an atomic acquire read, plus a release write when [write]
     (a failed CAS is read-only). *)
 let update h ~tid x ~write =
-  let h = { h with raced = h.raced || racy_write h tid x ~atomic:true } in
+  let h =
+    if h.raced || not (racy_write h tid x ~atomic:true) then h
+    else { h with raced = true }
+  in
   let h = do_acquire h tid x in
   if not write then record_read h tid x ~atomic:true
   else
@@ -124,8 +138,7 @@ let update h ~tid x ~write =
     let h = record_read h tid x ~atomic:true in
     record_write h tid x ~atomic:true
 
-(* Fences synchronise through a distinguished token location, as in the
-   SC baseline. *)
+(* Fences synchronise through a distinguished token location. *)
 let fence h ~tid (m : Mode.fence) =
   let tok = Loc.make "__fence__" in
   match m with

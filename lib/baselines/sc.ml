@@ -5,28 +5,19 @@
     semantics a data race is UB, which makes load introduction unsound),
     and (ii) DRF-guarantee experiments (E7).
 
-    Memory is a flat map; release/acquire (and RMW) accesses synchronize
-    via per-location release clocks; relaxed accesses do not synchronize
-    but also do not race (only conflicting pairs with at least one
-    non-atomic access race, §5). *)
+    Memory is a flat map; races are the shared happens-before discipline
+    ({!Hb}): release/acquire (and RMW) accesses synchronize via
+    per-location release clocks; relaxed accesses do not synchronize but
+    also do not race (only conflicting pairs with at least one non-atomic
+    access race, §5). *)
 
 open Lang
 
-type loc_meta = {
-  w_na : (int * int) option;  (* epoch of last non-atomic write *)
-  w_at : (int * int) option;  (* epoch of last atomic write *)
-  r_na : Vclock.t;  (* join of non-atomic read clocks *)
-  r_at : Vclock.t;  (* join of atomic read clocks *)
-  release : Vclock.t;  (* release clock (for acq/rel synchronisation) *)
-}
-
 type state = {
   progs : Prog.state list;
-  clocks : Vclock.t list;
   mem : Value.t Loc.Map.t;
-  meta : loc_meta Loc.Map.t;
   outs : Value.t list list;  (* per thread, most recent first *)
-  raced : bool;  (* a data race occurred: conflicting pair, ≥1 non-atomic *)
+  hb : Hb.t;
   raced_strict : Loc.Set.t;
       (* locations with a conflicting unordered pair of any access modes —
          the premises of the DRF-SC guarantee (empty set; no access in the
@@ -51,178 +42,21 @@ type result = {
   states : int;
 }
 
-let n_threads st = List.length st.progs
-
-let empty_meta n =
-  {
-    w_na = None;
-    w_at = None;
-    r_na = Vclock.make n;
-    r_at = Vclock.make n;
-    release = Vclock.make n;
-  }
-
-let get_meta st x = Loc.Map.find_default ~default:(empty_meta (n_threads st)) x st.meta
-
 let read_mem st x = Loc.Map.find_default ~default:Value.zero x st.mem
 
-let epoch_ok e c = match e with None -> true | Some ep -> Vclock.epoch_le ep c
+(* [raced_strict], plus [x] if the access races strictly. *)
+let strict st tid x ~write =
+  let racy = if write then Hb.strict_write_race else Hb.strict_read_race in
+  if racy st.hb ~tid x then Loc.Set.add x st.raced_strict else st.raced_strict
 
-(* Is this access racy against the recorded history? *)
-let racy_read st tid x ~atomic =
-  let m = get_meta st x in
-  let c = List.nth st.clocks tid in
-  if atomic then not (epoch_ok m.w_na c)
-  else not (epoch_ok m.w_na c && epoch_ok m.w_at c)
-
-let racy_read_strict st tid x =
-  let m = get_meta st x in
-  let c = List.nth st.clocks tid in
-  not (epoch_ok m.w_na c && epoch_ok m.w_at c)
-
-let racy_write_strict st tid x =
-  let m = get_meta st x in
-  let c = List.nth st.clocks tid in
-  not
-    (epoch_ok m.w_na c && epoch_ok m.w_at c && Vclock.le m.r_na c
-     && Vclock.le m.r_at c)
-
-let racy_write st tid x ~atomic =
-  let m = get_meta st x in
-  let c = List.nth st.clocks tid in
-  if atomic then not (epoch_ok m.w_na c && Vclock.le m.r_na c)
-  else
-    not
-      (epoch_ok m.w_na c && epoch_ok m.w_at c && Vclock.le m.r_na c
-       && Vclock.le m.r_at c)
-
-let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
-
-let record_read st tid x ~atomic =
-  let m = get_meta st x in
-  let c = List.nth st.clocks tid in
-  let m =
-    if atomic then { m with r_at = Vclock.join m.r_at c }
-    else { m with r_na = Vclock.join m.r_na c }
-  in
-  { st with meta = Loc.Map.add x m st.meta }
-
-let record_write st tid x ~atomic =
-  let m = get_meta st x in
-  let c = List.nth st.clocks tid in
-  let ep = Some (tid, c.(tid)) in
-  let m = if atomic then { m with w_at = ep } else { m with w_na = ep } in
-  { st with meta = Loc.Map.add x m st.meta }
-
-(* Acquire: join the location's release clock into ours. *)
-let do_acquire st tid x =
-  let m = get_meta st x in
-  let c = Vclock.join (List.nth st.clocks tid) m.release in
-  { st with clocks = set_nth st.clocks tid c }
-
-(* Release: tick our clock and publish it on the location. *)
-let do_release st tid x =
-  let c = Vclock.tick (List.nth st.clocks tid) tid in
-  let st = { st with clocks = set_nth st.clocks tid c } in
-  let m = get_meta st x in
-  let m = { m with release = Vclock.join m.release c } in
-  { st with meta = Loc.Map.add x m st.meta }
-
-(** Successors of [st] by one step of thread [tid] ([None] if that thread
-    cannot move), plus a UB flag. *)
-let thread_steps (values : Value.t list) (st : state) (tid : int) :
-    [ `Next of state | `Ub ] list =
-  let prog = List.nth st.progs tid in
-  let with_prog st p = { st with progs = set_nth st.progs tid p } in
-  match Prog.step prog with
-  | Prog.Terminated _ -> []
-  | Prog.Undefined -> [ `Ub ]
-  | Prog.Silent p -> [ `Next (with_prog st p) ]
-  | Prog.Do_out (v, p) ->
-    let outs = set_nth st.outs tid (v :: List.nth st.outs tid) in
-    [ `Next (with_prog { st with outs } p) ]
-  | Prog.Choice f -> List.map (fun v -> `Next (with_prog st (f v))) values
-  | Prog.Do_read (o, x, f) ->
-    let atomic = Mode.read_is_atomic o in
-    let raced = st.raced || racy_read st tid x ~atomic in
-    let raced_strict =
-      if racy_read_strict st tid x then Loc.Set.add x st.raced_strict
-      else st.raced_strict
-    in
-    let st = { st with raced; raced_strict } in
-    let st = if o = Mode.Racq then do_acquire st tid x else st in
-    let st = record_read st tid x ~atomic in
-    [ `Next (with_prog st (f (read_mem st x))) ]
-  | Prog.Do_write (o, x, v, p) ->
-    let atomic = Mode.write_is_atomic o in
-    let raced = st.raced || racy_write st tid x ~atomic in
-    let raced_strict =
-      if racy_write_strict st tid x then Loc.Set.add x st.raced_strict
-      else st.raced_strict
-    in
-    let st = { st with raced; raced_strict } in
-    let st = if o = Mode.Wrel then do_release st tid x else st in
-    let st = record_write st tid x ~atomic in
-    [ `Next (with_prog { st with mem = Loc.Map.add x v st.mem } p) ]
-  | Prog.Do_update (x, f) ->
-    let raced = st.raced || racy_write st tid x ~atomic:true in
-    let raced_strict =
-      if racy_write_strict st tid x then Loc.Set.add x st.raced_strict
-      else st.raced_strict
-    in
-    let st = { st with raced; raced_strict } in
-    let v_read = read_mem st x in
-    (match f v_read with
-     | Prog.Upd_fault -> [ `Ub ]
-     | Prog.Upd_read_only p ->
-       let st = do_acquire st tid x in
-       let st = record_read st tid x ~atomic:true in
-       [ `Next (with_prog st p) ]
-     | Prog.Upd_write (v_new, p) ->
-       let st = do_acquire st tid x in
-       let st = do_release st tid x in
-       let st = record_read st tid x ~atomic:true in
-       let st = record_write st tid x ~atomic:true in
-       [ `Next (with_prog { st with mem = Loc.Map.add x v_new st.mem } p) ])
-  | Prog.Do_fence (m, p) ->
-    (* SC baseline: fences are global synchronisation barriers; we model
-       them as release+acquire on a distinguished token location. *)
-    let tok = Loc.make "__fence__" in
-    let st =
-      match m with
-      | Mode.Facq -> do_acquire st tid tok
-      | Mode.Frel -> do_release st tid tok
-      | Mode.Facqrel | Mode.Fsc -> do_release (do_acquire st tid tok) tid tok
-    in
-    [ `Next (with_prog st p) ]
-
-let terminal_behavior st =
-  let rec go acc progs outs =
-    match progs, outs with
-    | [], [] -> Some (Ret (List.rev acc))
-    | p :: ps, o :: os ->
-      (match Prog.step p with
-       | Prog.Terminated v -> go ((v, List.rev o) :: acc) ps os
-       | _ -> None)
-    | _ -> None
-  in
-  go [] st.progs st.outs
-
-(* Canonical state identity for the visited set.  [meta] is deliberately
-   excluded: it is a function of the access history already summarised by
-   (clocks, raced, raced_strict) for the purposes of this exploration, and
-   keying on it would only split states without changing any behavior or
-   race verdict.  (The exclusion predates this comparator — the previous
-   string-rendered key had the same components — so state counts are
-   stable.) *)
-module State_key = struct
-  type t = state
+module Step = struct
+  type nonrec state = state
 
   let compare s1 s2 =
     let c = List.compare Prog.compare_state s1.progs s2.progs in
     if c <> 0 then c
     else
-      let c = List.compare Vclock.compare s1.clocks s2.clocks in
+      let c = Hb.compare s1.hb s2.hb in
       if c <> 0 then c
       else
         let c = Loc.Map.compare Value.compare s1.mem s2.mem in
@@ -232,66 +66,85 @@ module State_key = struct
             List.compare (List.compare Value.compare) s1.outs s2.outs
           in
           if c <> 0 then c
-          else
-            let c = Bool.compare s1.raced s2.raced in
-            if c <> 0 then c
-            else Loc.Set.compare s1.raced_strict s2.raced_strict
-end
+          else Loc.Set.compare s1.raced_strict s2.raced_strict
 
-module State_set = Set.Make (State_key)
-
-(** Exhaustive SC interleaving exploration. *)
-let explore ?(values = [ Value.Int 0; Value.Int 1; Value.Int 2 ])
-    ?(max_states = 200_000) (progs : Stmt.t list) : result =
-  let n = List.length progs in
-  let init =
+  let init progs =
+    let n = List.length progs in
     {
       progs = List.map Prog.init progs;
-      clocks = List.init n (fun tid -> Vclock.init_thread n tid);
       mem = Loc.Map.empty;
-      meta = Loc.Map.empty;
       outs = List.init n (fun _ -> []);
-      raced = false;
+      hb = Hb.make n;
       raced_strict = Loc.Set.empty;
     }
-  in
-  let visited = ref State_set.empty in
-  let n_visited = ref 0 in
-  let behaviors = ref Behavior_set.empty in
-  let races = ref false in
-  let strict_race_locs = ref Loc.Set.empty in
-  let truncated = ref false in
-  let queue = Queue.create () in
-  let push st =
-    if not (State_set.mem st !visited) then
-      if !n_visited >= max_states then truncated := true
-      else begin
-        visited := State_set.add st !visited;
-        incr n_visited;
-        Queue.push st queue
-      end
-  in
-  push init;
-  while not (Queue.is_empty queue) do
-    let st = Queue.pop queue in
-    if st.raced then races := true;
-    strict_race_locs := Loc.Set.union !strict_race_locs st.raced_strict;
-    (match terminal_behavior st with
-     | Some b -> behaviors := Behavior_set.add b !behaviors
-     | None -> ());
-    for tid = 0 to n - 1 do
-      List.iter
-        (function
-          | `Ub -> behaviors := Behavior_set.add Bot !behaviors
-          | `Next st' -> push st')
-        (thread_steps values st tid)
-    done
-  done;
+
+  let progs st = st.progs
+  let outs st = st.outs
+  let drained _ = true
+
+  let thread_steps values st tid =
+    let with_prog st p = { st with progs = Explore.set_nth st.progs tid p } in
+    match Prog.step (List.nth st.progs tid) with
+    | Prog.Terminated _ -> []
+    | Prog.Undefined -> [ `Ub ]
+    | Prog.Silent p -> [ `Next (with_prog st p) ]
+    | Prog.Do_out (v, p) ->
+      let outs = Explore.set_nth st.outs tid (v :: List.nth st.outs tid) in
+      [ `Next (with_prog { st with outs } p) ]
+    | Prog.Choice f -> List.map (fun v -> `Next (with_prog st (f v))) values
+    | Prog.Do_read (o, x, f) ->
+      let raced_strict = strict st tid x ~write:false in
+      let hb =
+        Hb.read st.hb ~tid x ~atomic:(Mode.read_is_atomic o)
+          ~acq:(o = Mode.Racq)
+      in
+      [ `Next (with_prog { st with hb; raced_strict } (f (read_mem st x))) ]
+    | Prog.Do_write (o, x, v, p) ->
+      let raced_strict = strict st tid x ~write:true in
+      let hb =
+        Hb.write st.hb ~tid x ~atomic:(Mode.write_is_atomic o)
+          ~rel:(o = Mode.Wrel)
+      in
+      let mem = Loc.Map.add x v st.mem in
+      [ `Next (with_prog { st with hb; raced_strict; mem } p) ]
+    | Prog.Do_update (x, f) ->
+      (match f (read_mem st x) with
+       | Prog.Upd_fault -> [ `Ub ]
+       | Prog.Upd_read_only p ->
+         let raced_strict = strict st tid x ~write:true in
+         let hb = Hb.update st.hb ~tid x ~write:false in
+         [ `Next (with_prog { st with hb; raced_strict } p) ]
+       | Prog.Upd_write (v_new, p) ->
+         let raced_strict = strict st tid x ~write:true in
+         let hb = Hb.update st.hb ~tid x ~write:true in
+         let mem = Loc.Map.add x v_new st.mem in
+         [ `Next (with_prog { st with hb; raced_strict; mem } p) ])
+    | Prog.Do_fence (m, p) ->
+      (* SC baseline: fences are global synchronisation barriers. *)
+      [ `Next (with_prog { st with hb = Hb.fence st.hb ~tid m } p) ]
+
+  (* (data race seen, strict-race locations) *)
+  type race = bool * Loc.Set.t
+
+  let no_race = (false, Loc.Set.empty)
+
+  let observe ((races, locs) as r) st =
+    let races' = races || Hb.raced st.hb in
+    let locs' = Loc.Set.union locs st.raced_strict in
+    if races' = races && locs' == locs then r else (races', locs')
+end
+
+module E = Explore.Make (Step)
+
+(** Exhaustive SC interleaving exploration. *)
+let explore ?values ?max_states ?budget (progs : Stmt.t list) : result =
+  let r = E.explore ?values ?max_states ?budget progs in
+  let races, strict_race_locs = r.Explore.races in
   {
-    behaviors = !behaviors;
-    races = !races;
-    strict_races = not (Loc.Set.is_empty !strict_race_locs);
-    strict_race_locs = !strict_race_locs;
-    truncated = !truncated;
-    states = !n_visited;
+    behaviors = r.Explore.behaviors;
+    races;
+    strict_races = not (Loc.Set.is_empty strict_race_locs);
+    strict_race_locs;
+    truncated = r.Explore.truncated;
+    states = r.Explore.states;
   }

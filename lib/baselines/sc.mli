@@ -1,6 +1,6 @@
 (** Sequentially consistent interleaving baseline with happens-before data
-    race detection (vector clocks); used by the catch-fire comparison (E6)
-    and the DRF experiments (E7). *)
+    race detection (the shared {!Hb}); used by the catch-fire comparison
+    (E6) and the DRF experiments (E7). *)
 
 open Lang
 
@@ -25,5 +25,12 @@ type result = {
   states : int;
 }
 
-(** Exhaustive interleaving exploration under SC. *)
-val explore : ?values:Value.t list -> ?max_states:int -> Stmt.t list -> result
+(** Exhaustive interleaving exploration under SC, by {!Explore.Make}:
+    [budget] is charged one state per distinct state, and
+    {!Engine.Budget.Exhausted} escapes. *)
+val explore :
+  ?values:Value.t list ->
+  ?max_states:int ->
+  ?budget:Engine.Budget.t ->
+  Stmt.t list ->
+  result

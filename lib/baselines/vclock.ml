@@ -1,4 +1,4 @@
-(** Vector clocks for happens-before race detection in the SC baseline. *)
+(** Vector clocks for the shared happens-before race detection ({!Hb}). *)
 
 type t = int array  (* index = thread id *)
 
@@ -12,10 +12,8 @@ let init_thread n tid =
   c.(tid) <- 1;
   c
 
-let copy = Array.copy
-
 let tick (c : t) (tid : int) =
-  let c = copy c in
+  let c = Array.copy c in
   c.(tid) <- c.(tid) + 1;
   c
 
@@ -30,6 +28,3 @@ let le (a : t) (b : t) =
   !ok
 
 let compare (a : t) (b : t) = Stdlib.compare a b
-
-let pp ppf (c : t) =
-  Fmt.pf ppf "⟨%a⟩" Fmt.(array ~sep:comma int) c

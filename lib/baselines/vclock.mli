@@ -1,4 +1,4 @@
-(** Vector clocks for happens-before race detection in the SC baseline. *)
+(** Vector clocks for the shared happens-before race detection ({!Hb}). *)
 
 type t = int array  (** index = thread id *)
 
@@ -8,7 +8,6 @@ val make : int -> t
     accesses are unordered with other threads' initial clocks. *)
 val init_thread : int -> int -> t
 
-val copy : t -> t
 val tick : t -> int -> t
 val join : t -> t -> t
 
@@ -17,4 +16,3 @@ val epoch_le : int * int -> t -> bool
 
 val le : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

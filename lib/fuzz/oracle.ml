@@ -177,6 +177,17 @@ type subject = { prog : Stmt.t; sc : Baselines.Sc.result Lazy.t }
 let subject (p : Stmt.t) : subject =
   { prog = p; sc = lazy (Baselines.Sc.explore ~max_states:max_explore_states [ p ]) }
 
+(* The shared exploration runs under no budget: it belongs to no one
+   oracle.  An oracle that uses it checks its own [budget] first, then is
+   charged the exploration's states, the total a fresh
+   {!Backends.Registry.Sc_machine} run would charge, whether or not
+   another oracle forced it before. *)
+let charged_sc ~budget (s : subject) : Baselines.Sc.result =
+  Engine.Budget.check budget;
+  let r = Lazy.force s.sc in
+  Engine.Budget.spend_state ~n:r.Baselines.Sc.states budget;
+  r
+
 (* ------------------------------------------------------------------ *)
 (* Baseline envelope.  Single-thread SC executions are SEQ executions
    under the identity environment from the full-permission, zero-memory
@@ -260,9 +271,7 @@ let check_baseline_env ~budget (s : subject) : string option =
    cross-checked on arbitrary generated programs).  Size-gated and
    truncation-skipped like {!check_baseline_env}: inclusion is a
    statement about complete behavior sets.  The SC side is the subject's
-   shared exploration, charged to [budget] exactly as
-   {!Backends.Registry.Sc_machine} charges its own, whether or not
-   another oracle forced it first. *)
+   shared exploration, charged to [budget] by {!charged_sc}. *)
 let check_baseline_hw ~budget machine (s : subject) : string option =
   let p = s.prog in
   if Stmt.size p > baseline_env_max_size then None
@@ -272,10 +281,7 @@ let check_baseline_hw ~budget machine (s : subject) : string option =
       | Some m -> m
       | None -> invalid_arg ("Oracle.baseline-hw: unknown backend " ^ machine)
     in
-    let sc =
-      Backends.Registry.of_sc
-        (Backends.Registry.sc_charged ~budget (fun () -> Lazy.force s.sc))
-    in
+    let sc = Backends.Registry.of_sc (charged_sc ~budget s) in
     if sc.Backends.Backend.truncated then None
     else
       let hw = M.explore ~max_states:max_explore_states ~budget [ p ] in

@@ -48,9 +48,10 @@ val refines : budget:Engine.Budget.t -> src:Stmt.t -> tgt:Stmt.t -> bool
 (** One program prepared for the oracles.  It holds the program's SC
     exploration ({!Baselines.Sc.explore}, at most 20 000 states), run
     lazily on first demand and shared by [Baseline_env] and every
-    [Baseline_hw] check of the subject.  Build one per program inside the
-    task that checks it: a subject is not meant to be shared across
-    domains. *)
+    [Baseline_hw] check of the subject.  Being shared, it runs under no
+    oracle's budget; [Baseline_hw] charges its states afterwards.  Build
+    one per program inside the task that checks it: a subject is not
+    meant to be shared across domains. *)
 type subject
 
 val subject : Stmt.t -> subject

@@ -87,9 +87,9 @@ let connect_timeout fd sa timeout_ms =
    | () -> finish_blocking ()
    | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN), _, _)
      ->
-     let deadline = Unix.gettimeofday () +. (timeout_ms /. 1000.) in
+     let deadline = Engine.Clock.now () +. (timeout_ms /. 1000.) in
      let rec wait () =
-       let left = deadline -. Unix.gettimeofday () in
+       let left = deadline -. Engine.Clock.now () in
        if left <= 0. then
          raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
        else

@@ -235,12 +235,12 @@ let start ~listen ~upstream sched =
         serve_proxy ~listen ~upstream ~sched stopping tallies)
   in
   (* wait for the listener to come up *)
-  let deadline = Unix.gettimeofday () +. 10. in
+  let deadline = Engine.Clock.now () +. 10. in
   let rec wait () =
     match Addr.connect_fd listen with
     | fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ ->
-      if Unix.gettimeofday () > deadline then
+      if Engine.Clock.now () > deadline then
         failwith "chaos proxy: listener never came up"
       else begin
         Unix.sleepf 0.02;

@@ -125,7 +125,7 @@ let with_connection ?policy addr f =
 let read_response t fd =
   let deadline =
     Option.map
-      (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
+      (fun ms -> Engine.Clock.now () +. (ms /. 1000.))
       t.policy.request_timeout_ms
   in
   let asm = Proto.Assembler.create () in
@@ -138,7 +138,7 @@ let read_response t fd =
         match deadline with
         | None -> -1.
         | Some d ->
-          let left = d -. Unix.gettimeofday () in
+          let left = d -. Engine.Clock.now () in
           if left <= 0. then raise Timeout else left
       in
       (match Unix.select [ fd ] [] [] wait with

@@ -321,10 +321,10 @@ let socket_ready path =
 
 let spawn ?(timeout_s = 10.0) config =
   let domain = Domain.spawn (fun () -> run ~signals:false config) in
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Engine.Clock.now () +. timeout_s in
   let rec wait () =
     if socket_ready config.socket_path then ()
-    else if Unix.gettimeofday () > deadline then
+    else if Engine.Clock.now () > deadline then
       failwith
         (Printf.sprintf "seqd: socket %s not up after %.1fs"
            config.socket_path timeout_s)

@@ -31,6 +31,14 @@ let run_exit cmd =
 let check_exit what expected cmd =
   Alcotest.(check int) what expected (run_exit cmd)
 
+(* Exit code and stdout of [cmd]. *)
+let run_output cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2> /dev/null") in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (n, out)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (-1, out)
+
 let test_seqlint_exit_codes () =
   (* warnings and hints are informational: exit 0 *)
   check_exit "warning-only program exits 0" 0
@@ -83,6 +91,27 @@ let test_seqcheck_lint_agreement () =
       (* self-refinement with lint errors: 0 -> 3 *)
     ]
 
+(* A program that never terminates and never revisits a state: under
+   a 50 ms deadline every backend answers undecided (exit 4) with the
+   deadline as the reason, instead of running to its state bound. *)
+let test_seqcheck_backend_deadline () =
+  let f = Filename.temp_file "loop" ".wm" in
+  Out_channel.with_open_text f (fun oc ->
+      output_string oc
+        "a = 0; while (a < 2) { Y.store(rel, 1); a = 0 }; return a\n");
+  List.iter
+    (fun backend ->
+      let code, out =
+        run_output
+          (Fmt.str "%s --backend %s --timeout-ms 50 %s %s" (exe "seqcheck")
+             backend f f)
+      in
+      Alcotest.(check int) (backend ^ ": exit 4") 4 code;
+      Alcotest.(check string)
+        (backend ^ ": deadline") "UNKNOWN(deadline)" (String.trim out))
+    [ "sc"; "catchfire" ];
+  Sys.remove f
+
 let suite =
   [
     Alcotest.test_case "seqlint exit codes" `Quick test_seqlint_exit_codes;
@@ -92,4 +121,6 @@ let suite =
       test_seqlint_json_same_exit;
     Alcotest.test_case "seqcheck --lint agrees with seqlint" `Quick
       test_seqcheck_lint_agreement;
+    Alcotest.test_case "seqcheck --backend sc|catchfire honours a deadline"
+      `Quick test_seqcheck_backend_deadline;
   ]

@@ -160,6 +160,33 @@ let test_explore_v_budget () =
   | Ok r -> Alcotest.(check bool) "unbudgeted Ok" true (r.Promising.Machine.states > 0)
   | Error r -> Alcotest.failf "unexpected %s" (V.reason_to_string r)
 
+(* SC and catch-fire run on the shared explorer, so a deadline stops
+   them mid-exploration like the hardware machines.  loop.wm never
+   terminates and never revisits a state (its release store ticks the
+   vector clock on every iteration): without the deadline each run goes
+   on to the 200 000-state default bound. *)
+let test_sc_deadline () =
+  let progs =
+    Lang.Parser.threads_of_string
+      "a = 0; while (a < 2) { Y.store(rel, 1); a = 0 }; return a"
+  in
+  let stops name explore =
+    let budget = B.make ~timeout_ms:20. () in
+    (match explore budget with
+     | () -> Alcotest.failf "%s: expected Exhausted Deadline" name
+     | exception B.Exhausted B.Deadline -> ());
+    Alcotest.(check bool)
+      (Fmt.str "%s stopped early (%d states)" name (B.states_used budget))
+      true
+      (B.states_used budget < 100_000)
+  in
+  stops "Sc.explore" (fun budget ->
+      ignore (Baselines.Sc.explore ~budget progs));
+  stops "Sc_machine" (fun budget ->
+      ignore (Backends.Registry.Sc_machine.explore ~budget progs));
+  stops "Catchfire_machine" (fun budget ->
+      ignore (Backends.Registry.Catchfire_machine.explore ~budget progs))
+
 (* ------------------------------------------------------------------ *)
 (* Supervised sweep: quarantine, retry, fault injection                 *)
 (* ------------------------------------------------------------------ *)
@@ -391,6 +418,8 @@ let suite =
       test_ample_budget_agrees;
     Alcotest.test_case "machine: explore_v respects the budget" `Quick
       test_explore_v_budget;
+    Alcotest.test_case "machine: SC and catch-fire stop at the deadline"
+      `Quick test_sc_deadline;
     Alcotest.test_case "sweep: quarantine leaves other tasks intact" `Quick
       test_quarantine_isolates;
     Alcotest.test_case "sweep: transient fault retried once" `Quick
