@@ -986,7 +986,7 @@ let enumcore_table () =
   (* the oracle-gate enumeration workload: generated programs at the
      fuzz baseline-env oracle's sizes and fuel (lib/fuzz/oracle.ml), the
      enumeration-throughput slice this PR accelerates.  The slow side is
-     the pre-PR reference recursion (no tables), the fast side the
+     the reference recursion (no core), the fast side the
      hash-consed memoized core; the column labelled "pairs" counts
      enumerated behaviors here and must agree exactly. *)
   let enum_items =
@@ -994,7 +994,7 @@ let enumcore_table () =
     List.filter_map
       (fun p ->
         let d = Domain.of_stmts [ p ] in
-        match Seq_model.Config.make_tables d with
+        match Seq_model.Core.create d with
         | None -> None
         | Some _ ->
           let cfg =
@@ -1006,13 +1006,13 @@ let enumcore_table () =
              { Gen.default_config with Gen.allow_loops = true }
              rand ~size:(13 + (i mod 4))))
   in
-  let enum_count ~tables () =
+  let enum_count ~memoized () =
     List.fold_left
       (fun acc (d, cfg, fuel) ->
-        let tables = if tables then Seq_model.Config.make_tables d else None in
+        let core = if memoized then Seq_model.Core.create d else None in
         acc
         + Seq_model.Behavior.Set.cardinal
-            (Seq_model.Behavior.enumerate ?tables d ~fuel cfg))
+            (Seq_model.Behavior.enumerate ?core d ~fuel cfg))
       0 enum_items
   in
   (* one full corpus pass per iteration; fixed repetition counts keep the
@@ -1078,8 +1078,8 @@ let enumcore_table () =
               in
               acc + n + n')
             0 slice );
-      ( "enumeration-oracle", 1, enum_count ~tables:false,
-        enum_count ~tables:true ) ]
+      ( "enumeration-oracle", 1, enum_count ~memoized:false,
+        enum_count ~memoized:true ) ]
   in
   Fmt.pr "%-20s %8s %5s %10s %10s %9s@." "work item" "pairs" "reps"
     "slow ms" "fast ms" "speedup";

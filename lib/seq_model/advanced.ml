@@ -32,13 +32,11 @@ module Cfg_set = Set.Make (struct
   let compare = Config.compare
 end)
 
-(* Universal branching over environment responses at a labeled step.
-   Returns [None] if the step is an acquire (forbidden in suffixes) and
-   the list of successor configurations otherwise ([`Stop] when the
-   program terminates).  [rel] provides the release permission drops and
-   must equal [Domain.subsets_of d cfg.perm] — the parameterization only
-   lets the fast path substitute the per-mask cached copy. *)
-let suffix_successors_gen ~rel (d : Domain.t) (cfg : Config.t) :
+(* Universal branching over environment responses at a step:
+   [`Forbidden] if the step is an acquire (forbidden in suffixes), the
+   successors otherwise ([`Branches []] when the program terminates).
+   The set-based reference of {!Core.suffix}. *)
+let suffix_successors (d : Domain.t) (cfg : Config.t) :
     [ `Forbidden | `Branches of [ `Cfg of Config.t | `Bot ] list ] =
   match Prog.step cfg.Config.prog with
   | Prog.Terminated _ -> `Branches []
@@ -71,16 +69,12 @@ let suffix_successors_gen ~rel (d : Domain.t) (cfg : Config.t) :
     `Branches
       (List.map
          (fun post -> `Cfg (Config.apply_release { cfg with prog = p } ~post))
-         (rel cfg))
+         (Domain.subsets_of d cfg.perm))
   | Prog.Do_fence (Mode.Frel, p) ->
     `Branches
       (List.map
          (fun post -> `Cfg (Config.apply_release { cfg with prog = p } ~post))
-         (rel cfg))
-
-let suffix_successors (d : Domain.t) (cfg : Config.t) =
-  suffix_successors_gen d cfg
-    ~rel:(fun c -> Domain.subsets_of d c.Config.perm)
+         (Domain.subsets_of d cfg.perm))
 
 (** Can the source reach ⊥ without any acquire event, under {e every}
     oracle? (the "∀Ω. ∃ trace with Racq ∉ tr ending in ⊥" disjunct of
@@ -188,12 +182,11 @@ let mem_le (d : Domain.t) m1 m2 =
         (Loc.Map.find_default ~default:Value.zero x m2))
     d.Domain.na_locs
 
-(* The game logic is written once against this vtable and instantiated
-   twice: the reference implementation ({!Slow}) recomputes lines, move
-   lists, and the ∀-oracle suffix games from scratch (modulo the
-   per-check [can_fail] memo it always had); the fast path serves all
-   four from a {!Core} context over interned configuration ids.  Both
-   must return identical values — the games may not drift. *)
+(* The operations of the reference game ({!Slow}): lines, move lists
+   and the ∀-oracle suffix games, recomputed from scratch at every use
+   (modulo the per-check [can_fail] memo it always had).  The fast path
+   below plays the same game on {!Core} ids and must return identical
+   values — the games may not drift. *)
 type ops = {
   line : Config.t -> Config.line;
   moves : Config.t -> Config.move list;
@@ -467,38 +460,9 @@ end
 (* Fast path: interned configurations, memoized suffix games           *)
 (* ------------------------------------------------------------------ *)
 
-(* Memoized suffix successors over interned ids.  `Bot branches are
-   trivially winning in both suffix games, so only the configuration
-   successors are kept; [S_term] records the terminated case (an empty
-   branch list), which loses, while a branch list emptied by dropping
-   `Bot entries wins. *)
-type suffix = S_forbidden | S_term | S_branches of int array
-
+(* The ∀-oracle suffix games over interned ids, on {!Core.suffix}'s
+   memoized branching. *)
 let suffix_id_ops (core : Core.t) (budget : Engine.Budget.t) =
-  let d = Core.domain core in
-  let pk = Core.packed core in
-  let rel c = Packed.release_choices pk (Packed.mask_of_set pk c.Config.perm) in
-  let suffix_memo : (int, suffix) Hashtbl.t = Hashtbl.create 64 in
-  let suffix id =
-    match Hashtbl.find_opt suffix_memo id with
-    | Some s -> s
-    | None ->
-      let s =
-        match suffix_successors_gen ~rel d (Core.cfg core id) with
-        | `Forbidden -> S_forbidden
-        | `Branches [] -> S_term
-        | `Branches bs ->
-          S_branches
-            (Array.of_list
-               (List.filter_map
-                  (function
-                    | `Bot -> None
-                    | `Cfg c -> Some (Core.intern core c))
-                  bs))
-      in
-      Hashtbl.replace suffix_memo id s;
-      s
-  in
   (* can_fail: result memo (context-independent, as in the reference:
      all branching is adversarial, so a back edge is a genuine cycle and
      false is the exact game value); [visiting] is the DFS path. *)
@@ -513,9 +477,9 @@ let suffix_id_ops (core : Core.t) (budget : Engine.Budget.t) =
       else begin
         Hashtbl.add fail_visiting id ();
         let result =
-          match suffix id with
-          | S_forbidden | S_term -> false
-          | S_branches ids -> Array.for_all can_fail_id ids
+          match Core.suffix core id with
+          | Core.Sx_forbidden | Core.Sx_term -> false
+          | Core.Sx_branches ids -> Array.for_all can_fail_id ids
         in
         Hashtbl.remove fail_visiting id;
         Hashtbl.replace fail_memo id result;
@@ -540,9 +504,9 @@ let suffix_id_ops (core : Core.t) (budget : Engine.Budget.t) =
         else begin
           Hashtbl.add visiting (need, id) ();
           let result =
-            match suffix id with
-            | S_forbidden | S_term -> false
-            | S_branches ids -> Array.for_all (fun c -> go need c) ids
+            match Core.suffix core id with
+            | Core.Sx_forbidden | Core.Sx_term -> false
+            | Core.Sx_branches ids -> Array.for_all (fun c -> go need c) ids
           in
           Hashtbl.remove visiting (need, id);
           result
@@ -557,95 +521,92 @@ let suffix_id_ops (core : Core.t) (budget : Engine.Budget.t) =
 (* Same structure as [Refine.solve_fast], with the commitment mask as
    the first component of every {!Pair_graph} pair. *)
 let solve_fast ?(budget = Engine.Budget.unlimited) (core : Core.t)
-    (d : Domain.t) (roots : pair list) : bool * int =
-  let pk = Core.packed core in
+    (roots : pair list) : bool * int =
   let can_fail_id, can_fulfill_id = suffix_id_ops core budget in
-  let mask_of = Packed.mask_of_set pk in
-  (* Mirrors [consume] at id granularity: [consume_id] answers from a
-     plain source configuration with a known id, [consume_point] from any
-     point; [commit]/[cmask] are the same set in both representations. *)
-  let rec consume_id ~commit ~cmask (sid : int) (evs : Event.t list)
-      (next_t : int) : Pair_graph.answer =
-    match evs with
-    | [] ->
-      if next_t >= 0 then Pair_graph.Dep (cmask, next_t, sid)
-      else Const (can_fail_id sid)
-    | ev :: rest ->
-      (match (Core.line_id core sid).Config.line_end with
-       | Config.L_bot -> Const true
-       | Config.L_label scfg' ->
-         (match respond1 ~commit scfg' ev with
-          | `Ok (commit', point') ->
-            consume_point ~commit:commit' point' rest next_t
-          | `Bot -> Const true
-          | `No ->
-            (* the source may still escape via late UB for every oracle *)
-            Const (can_fail_id sid))
-       | Config.L_term _ | Config.L_diverge -> Const (can_fail_id sid))
-  and consume_point ~commit (point : src_point) evs next_t :
-      Pair_graph.answer =
-    let cmask = mask_of commit in
-    match point, evs with
-    | Plain scfg, _ ->
-      consume_id ~commit ~cmask (Core.intern core scfg) evs next_t
-    | (Pend_rel _ | Pend_acq _), [] -> Const false
-    | (Pend_rel _ | Pend_acq _), ev :: rest ->
-      (match respond_pending ~commit point ev with
-       | `Ok (commit', point') ->
-         consume_point ~commit:commit' point' rest next_t
-       | `Bot -> Const true
-       | `No -> Const false)
+  (* the Fig 2 conditions [respond1]/[respond_pending] put on a label's
+     annotations beyond those {!Core.answer} checks, and the commitment
+     mask after it: an acquire needs F_tgt ∪ R ⊆ F_src and empties R, a
+     release turns written-set and memory disagreements into R' *)
+  let respond cmask pt l : int * Core.point =
+    let c = Core.point_id pt in
+    let fsrc = Core.written_mask core c in
+    if Core.is_acquire core l then
+      if (Core.label_written core l lor cmask) land lnot fsrc <> 0 then
+        (cmask, Core.No)
+      else (0, Core.answer core pt l)
+    else
+      match Core.answer core pt l with
+      | (Core.No | Core.Bot) as r -> (cmask, r)
+      | r when Core.is_release core l ->
+        ( (cmask lor Core.label_written core l) land lnot fsrc
+          lor Core.release_excess core l c,
+          r )
+      | r -> (cmask, r)
   in
-  let analyze (cmask : int) (tid : int) (sid : int) :
-      bool * Pair_graph.answer list =
+  (* Mirrors [consume]: the source at point [pt], under commitment mask
+     [cmask], answers labels [i..] of [labs]; [next_t] is the target's
+     successor id (-1 for ⊥).  The answer goes to [sink]. *)
+  let rec consume sink cmask (pt : Core.point) (labs : int array) i
+      (next_t : int) =
+    match pt with
+    | Core.No -> Pair_graph.const sink false
+    | Core.Bot -> Pair_graph.const sink true
+    | Core.Plain sid ->
+      if i = Array.length labs then
+        if next_t >= 0 then Pair_graph.dep sink cmask next_t sid
+        else Pair_graph.const sink (can_fail_id sid)
+      else (
+        match Core.line_end core sid with
+        | Core.L_bot -> Pair_graph.const sink true
+        | Core.L_label ->
+          (match respond cmask (Core.Plain (Core.line_next core sid)) labs.(i)
+           with
+           | _, Core.No ->
+             (* the source may still escape via late UB for every oracle *)
+             Pair_graph.const sink (can_fail_id sid)
+           | cmask', pt' -> consume sink cmask' pt' labs (i + 1) next_t)
+        | Core.L_term _ | Core.L_diverge ->
+          Pair_graph.const sink (can_fail_id sid))
+    | Core.Pend_rel _ | Core.Pend_acq _ ->
+      if i = Array.length labs then Pair_graph.const sink false
+      else
+        let cmask', pt' = respond cmask pt labs.(i) in
+        consume sink cmask' pt' labs (i + 1) next_t
+  in
+  let analyze sink (cmask : int) (tid : int) (sid : int) : bool =
     (* Fig 6: [forall-Omega exists bottom-suffix] disjunct first — it
        matches everything. *)
-    if can_fail_id sid then (true, [])
-    else
-      let ln_t = Core.line_id core tid in
-      let need = Core.line_wmax_mask core tid lor cmask in
-      if not (can_fulfill_id need sid) then (false, [])
-      else
-        match ln_t.Config.line_end with
-        | Config.L_bot ->
-          (* only matched by the bottom-escape, which failed *)
-          (false, [])
-        | Config.L_diverge -> (true, [])
-        | Config.L_term (v, _) ->
-          let ln_s = Core.line_id core sid in
-          (match ln_s.Config.line_end with
-           | Config.L_term (v', _) ->
-             let t'id = Core.line_next core tid in
-             let s'id = Core.line_next core sid in
-             let ok =
-               Value.le v v'
-               && (Core.written_mask core t'id lor cmask)
-                  land lnot (Core.written_mask core s'id)
-                  = 0
-               && mem_le d
-                    (Core.cfg core t'id).Config.mem
-                    (Core.cfg core s'id).Config.mem
-             in
-             (ok, [])
-           | Config.L_bot | Config.L_diverge | Config.L_label _ ->
-             (false, []))
-        | Config.L_label _ ->
-          let ln_s = Core.line_id core sid in
-          (match ln_s.Config.line_end with
-           | Config.L_label _ ->
-             let t'id = Core.line_next core tid in
-             let s'id = Core.line_next core sid in
-             let commit = Packed.set_of_mask pk cmask in
-             let nexts = Core.moves_next core t'id in
-             ( true,
-               List.mapi
-                 (fun k (evs, _) ->
-                   consume_id ~commit ~cmask s'id evs nexts.(k))
-                 (Core.moves_id core t'id) )
-           | Config.L_bot (* would have been caught by the escape *)
-           | Config.L_term _ | Config.L_diverge ->
-             (false, []))
+    can_fail_id sid
+    ||
+    let need = Core.line_wmax_mask core tid lor cmask in
+    can_fulfill_id need sid
+    &&
+    match Core.line_end core tid, Core.line_end core sid with
+    | Core.L_bot, _ ->
+      (* only matched by the bottom-escape, which failed *)
+      false
+    | Core.L_diverge, _ -> true
+    | Core.L_term v, Core.L_term v' ->
+      let t' = Core.line_next core tid and s' = Core.line_next core sid in
+      Value.le v v'
+      && (Core.written_mask core t' lor cmask)
+         land lnot (Core.written_mask core s')
+         = 0
+      && Core.mem_le core (Core.mem_id core t') (Core.mem_id core s')
+    | Core.L_label, Core.L_label ->
+      let t' = Core.line_next core tid in
+      let s' = Core.Plain (Core.line_next core sid) in
+      let labs = Core.moves_labels core t' in
+      let nexts = Core.moves_next core t' in
+      for k = 0 to Array.length labs - 1 do
+        consume sink cmask s' (Core.list_labels core labs.(k)) 0 nexts.(k)
+      done;
+      true
+    | (Core.L_term _ | Core.L_label), _ ->
+      (* a source line to bottom would have been caught by the escape *)
+      false
   in
+  let mask_of = Packed.mask_of_set (Core.packed core) in
   Pair_graph.solve ~budget ~analyze
     (List.map
        (fun p ->
@@ -671,7 +632,7 @@ let check_pairs_count ?budget (d : Domain.t) (roots : pair list) :
            ignore (Core.intern core p.src))
          roots
      with
-     | () -> solve_fast ?budget core d roots
+     | () -> solve_fast ?budget core roots
      | exception Packed.Unpackable -> Slow.check_pairs_count ?budget d roots)
 
 let check_pairs ?budget (d : Domain.t) (roots : pair list) : bool =

@@ -135,23 +135,21 @@ let memo_fold ~budget (core : Core.t) ~fuel ~leaf ~bot ~edge id : Int_set.t =
       let result =
         if fuel = 0 then acc
         else begin
+          let labs = Core.moves_labels core id in
           let nexts = Core.moves_next core id in
-          let k = ref (-1) in
-          List.fold_left
-            (fun acc (evs, _) ->
-              incr k;
-              let k = !k in
-              let subs =
-                if nexts.(k) < 0 then Int_set.singleton bot
-                else go (fuel - 1) nexts.(k)
-              in
-              (* propagating a sub-behavior along an edge is the unit of
-                 work here (set insertions), so that is what the budget
-                 charges *)
-              Engine.Budget.spend_state ~n:(Int_set.cardinal subs) budget;
-              edge ~src:id ~k evs subs acc)
-            acc
-            (Core.moves_id core id)
+          let acc = ref acc in
+          for k = 0 to Array.length labs - 1 do
+            let subs =
+              if nexts.(k) < 0 then Int_set.singleton bot
+              else go (fuel - 1) nexts.(k)
+            in
+            (* propagating a sub-behavior along an edge is the unit of
+               work here (set insertions), so that is what the budget
+               charges *)
+            Engine.Budget.spend_state ~n:(Int_set.cardinal subs) budget;
+            acc := edge ~src:id ~k (Core.labels core labs.(k)) subs !acc
+          done;
+          !acc
         end
       in
       Hashtbl.replace memo (fuel, id) result;
@@ -207,18 +205,19 @@ let enumerate_core ~budget (core : Core.t) ~fuel (cfg : Config.t) : Set.t =
   in
   let bid_bot = behavior_of 0 rid_bot in
   let leaf id =
-    let c = Core.cfg core id in
     let rid =
-      match Config.status c with
+      match Core.status core id with
       | Config.Term v ->
         result_of
           (2, Core.written_mask core id, Core.mem_id core id,
            Packed.value_id pk v)
-          (fun () -> Trm (v, c.Config.written, c.Config.mem))
+          (fun () ->
+            let c = Core.cfg core id in
+            Trm (v, c.Config.written, c.Config.mem))
       | Config.Running ->
         result_of
           (1, Core.written_mask core id, 0, 0)
-          (fun () -> Prt c.Config.written)
+          (fun () -> Prt (Core.cfg core id).Config.written)
     in
     Int_set.singleton (behavior_of 0 rid)
   in
@@ -290,7 +289,7 @@ let outcomes ~budget (core : Core.t) ~fuel (cfg : Config.t) : outcomes =
   let outcome_ids = Hashtbl.create 64 and outcome_rev = Hashtbl.create 64 in
   let outcome vid lid = intern outcome_ids outcome_rev (vid, lid) in
   let leaf id =
-    match Config.status (Core.cfg core id) with
+    match Core.status core id with
     | Config.Term v -> Int_set.singleton (outcome (Packed.value_id pk v) 0)
     | Config.Running -> Int_set.empty
   in
@@ -333,16 +332,16 @@ let outcomes ~budget (core : Core.t) ~fuel (cfg : Config.t) : outcomes =
     { returns = Outcome_set.empty; bot = false }
 
 (** All behaviors of [cfg] generated by executions of at most [fuel]
-    moves.  With [tables] the enumeration is memoized over hash-consed
+    moves.  With [core] the enumeration is memoized over its interned
     configurations (identical sets; the budget then charges subproblems
     and per-edge behavior propagations rather than paths — proportional
     to the set insertions actually performed); without, the reference
     recursion runs as-is. *)
-let enumerate ?(budget = Engine.Budget.unlimited) ?tables (d : Domain.t)
+let enumerate ?(budget = Engine.Budget.unlimited) ?core (d : Domain.t)
     ~fuel (cfg : Config.t) : Set.t =
-  match tables with
-  | Some tb -> (
-    match enumerate_core ~budget (Core.of_tables tb) ~fuel cfg with
+  match core with
+  | Some core -> (
+    match enumerate_core ~budget core ~fuel cfg with
     | s -> s
     | exception Packed.Unpackable ->
       enumerate_ref ~budget (Config.moves d) ~fuel cfg)
@@ -353,10 +352,10 @@ let enumerate ?(budget = Engine.Budget.unlimited) ?tables (d : Domain.t)
     source behavior.  The source gets extra fuel so that matching behaviors
     that require more source steps (e.g. its unlabeled prefix) are not cut
     off by the bound. *)
-let refines_at ?budget ?tables (d : Domain.t) ~fuel ~(src : Config.t)
+let refines_at ?budget ?core (d : Domain.t) ~fuel ~(src : Config.t)
     ~(tgt : Config.t) : (unit, t) Stdlib.result =
-  let src_behs = enumerate ?budget ?tables d ~fuel:(2 * fuel) src in
-  let tgt_behs = enumerate ?budget ?tables d ~fuel tgt in
+  let src_behs = enumerate ?budget ?core d ~fuel:(2 * fuel) src in
+  let tgt_behs = enumerate ?budget ?core d ~fuel tgt in
   let matched bt = Set.exists (fun bs -> le d bt bs) src_behs in
   match Set.to_seq tgt_behs |> Seq.find (fun bt -> not (matched bt)) with
   | None -> Ok ()

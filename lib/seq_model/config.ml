@@ -94,9 +94,9 @@ let released_mem (d : Domain.t) cfg =
       if Loc.Set.mem x cfg.perm then Loc.Map.add x (read_mem cfg x) acc else acc)
     Loc.Map.empty d.Domain.na_locs
 
-(* All acquire instantiations: (P', V, successor-builder input).  The
-   enumeration (content and order) is Domain.acquire_choices — the single
-   canonical definition that the packed caches also replay. *)
+(* All acquire instantiations: (P', V).  The enumeration (content and
+   order) is Domain.acquire_choices — the single canonical definition
+   that the packed choice tables also replay. *)
 let acquire_choices (d : Domain.t) cfg = Domain.acquire_choices d cfg.perm
 
 let release_choices (d : Domain.t) cfg = Domain.subsets_of d cfg.perm
@@ -104,7 +104,7 @@ let release_choices (d : Domain.t) cfg = Domain.subsets_of d cfg.perm
 (* The release halves of an RMW / release write / release fence.  The
    released memory V = M|P depends only on [cfg], so it is computed once
    outside the per-choice closure. *)
-let rel_moves_gen ~rel d cfg ~rkind (after : t) : move list =
+let rel_moves d cfg ~rkind (after : t) : move list =
   let rreleased = released_mem d cfg in
   List.map
     (fun post ->
@@ -119,16 +119,13 @@ let rel_moves_gen ~rel d cfg ~rkind (after : t) : move list =
           }
       in
       ([ ev ], Cont (apply_release after ~post)))
-    (rel cfg)
+    (release_choices d cfg)
 
-(** The transition relation of Fig 1, parameterized by the providers of
-    the environment acquire/release choices.  [acq cfg] must equal
-    [Domain.acquire_choices d cfg.perm] and [rel cfg] must equal
-    [Domain.subsets_of d cfg.perm] — same contents, same order; the
-    parameterization only lets {!moves_t} substitute cached copies. *)
-let moves_gen ~acq ~rel (d : Domain.t) (cfg : t) : move list =
-  let acquire_choices _d cfg = acq cfg in
-  let rel_moves d cfg ~rkind after = rel_moves_gen ~rel d cfg ~rkind after in
+(** All SEQ moves of a configuration (Fig 1), enumerated over the domain.
+    Terminal configurations have no moves (use {!status}).  This is the
+    set-based reference the packed {!Core} transitions are checked
+    against. *)
+let moves (d : Domain.t) (cfg : t) : move list =
   match Prog.step cfg.prog with
   | Prog.Terminated _ -> []
   | Prog.Undefined -> [ ([], Bot) ]
@@ -260,36 +257,6 @@ let moves_gen ~acq ~rel (d : Domain.t) (cfg : t) : move list =
                 (rel_moves d cfg_a ~rkind:(Event.Rel_update (x, v_new)) cfg_a))
           (acquire_choices d cfg))
       (Domain.values_with_undef d)
-
-(** All SEQ moves of a configuration (Fig 1), enumerated over the domain.
-    Terminal configurations have no moves (use {!status}). *)
-let moves (d : Domain.t) (cfg : t) : move list =
-  moves_gen d cfg ~acq:(acquire_choices d) ~rel:(release_choices d)
-
-(* ------------------------------------------------------------------ *)
-(* Cached enumeration tables.                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** Per-domain cached environment-choice tables (wrapping
-    {!Lang.Packed}).  One [tables] belongs to one domain and one check —
-    never share across domains or concurrent workers. *)
-type tables = { packed : Packed.t }
-
-let make_tables (d : Domain.t) : tables option =
-  match Packed.make d with
-  | pk -> Some { packed = pk }
-  | exception Packed.Unpackable -> None
-
-(** [moves_t tb d cfg = moves d cfg], with the acquire/release choice
-    lists served from [tb]'s per-mask caches.  Falls back to the uncached
-    path if [cfg] lies outside the packed universe. *)
-let moves_t (tb : tables) (d : Domain.t) (cfg : t) : move list =
-  let pk = tb.packed in
-  try
-    moves_gen d cfg
-      ~acq:(fun c -> Packed.acquire_choices pk (Packed.mask_of_set pk c.perm))
-      ~rel:(fun c -> Packed.release_choices pk (Packed.mask_of_set pk c.perm))
-  with Packed.Unpackable -> moves d cfg
 
 (* ------------------------------------------------------------------ *)
 (* The unlabeled line: deterministic advancement to the next label.    *)

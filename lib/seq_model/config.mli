@@ -53,20 +53,6 @@ val released_mem : Domain.t -> t -> Value.t Loc.Map.t
     choices over the domain; terminal configurations have none. *)
 val moves : Domain.t -> t -> move list
 
-(** Per-domain cached environment-choice tables (wrapping
-    {!Lang.Packed}).  One [tables] value belongs to one domain and one
-    check — never share across domains or concurrent workers. *)
-type tables = { packed : Packed.t }
-
-val make_tables : Domain.t -> tables option
-(** [None] when the domain's non-atomic footprint exceeds
-    {!Lang.Packed.max_locs} — callers then stay on the uncached path. *)
-
-val moves_t : tables -> Domain.t -> t -> move list
-(** [moves_t tb d cfg = moves d cfg] — same moves, same order — with the
-    acquire/release choice lists served from [tb]'s caches.  Falls back
-    to {!moves} if [cfg] lies outside the packed universe. *)
-
 (** Advancement through the unique unlabeled (silent and non-atomic) steps
     up to the next labeled event. *)
 type line_end =

@@ -117,8 +117,8 @@ let both (Oracle a) (Oracle b) : t =
 
 (** Behaviors of a configuration whose traces the oracle allows —
     Def 3.3's restriction of the behavior sets. *)
-let allowed_behaviors ?budget ?tables (d : Domain.t) (om : t) ~fuel
+let allowed_behaviors ?budget ?core (d : Domain.t) (om : t) ~fuel
     (cfg : Config.t) : Behavior.Set.t =
   Behavior.Set.filter
     (fun (tr, _) -> allows om tr)
-    (Behavior.enumerate ?budget ?tables d ~fuel cfg)
+    (Behavior.enumerate ?budget ?core d ~fuel cfg)

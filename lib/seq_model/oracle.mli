@@ -40,5 +40,5 @@ val both : t -> t -> t
 (** The behaviors whose traces the oracle allows (Def 3.3's restriction of
     behavior sets).  [budget] is charged as in {!Behavior.enumerate}. *)
 val allowed_behaviors :
-  ?budget:Engine.Budget.t -> ?tables:Config.tables -> Domain.t -> t ->
+  ?budget:Engine.Budget.t -> ?core:Core.t -> Domain.t -> t ->
   fuel:int -> Config.t -> Behavior.Set.t

@@ -4,24 +4,51 @@
    computes the same greatest fixpoint by reverse-dependency
    propagation: a pair dies iff its local obligations fail or it
    depends, transitively, on a dead pair — O(pairs + deps) instead of
-   repeated full passes. *)
+   repeated full passes.
 
-type answer = Const of bool | Dep of int * int * int
+   The answers of the pairs on the DFS path live on one stack: [analyze]
+   pushes a pair's answers above those of its ancestors, and they are
+   popped once its dependencies are explored.  Pairs are interned by
+   {!Tuples}, so neither allocates per pair. *)
 
-module Pair_tbl = Hashtbl.Make (struct
-  type t = int * int * int
+(* Answer [j] is [Dep (c.(j), t.(j), s.(j))], or a constant: c = -1 for
+   false, -2 for true. *)
+type sink = {
+  mutable c : int array;
+  mutable t : int array;
+  mutable s : int array;
+  mutable top : int;
+}
 
-  let equal ((c, t, s) : t) (c', t', s') = c = c' && t = t' && s = s'
-  let hash = Hashtbl.hash
-end)
+let push sink c t s =
+  let j = sink.top in
+  if j = Array.length sink.c then begin
+    let grow a =
+      let g = Array.make (2 * j) 0 in
+      Array.blit a 0 g 0 j;
+      g
+    in
+    sink.c <- grow sink.c;
+    sink.t <- grow sink.t;
+    sink.s <- grow sink.s
+  end;
+  sink.c.(j) <- c;
+  sink.t.(j) <- t;
+  sink.s.(j) <- s;
+  sink.top <- j + 1
+
+let const sink b = push sink (if b then -2 else -1) 0 0
+let dep sink c t s = push sink c t s
 
 let solve ?(budget = Engine.Budget.unlimited)
-    ~(analyze : int -> int -> int -> bool * answer list)
+    ~(analyze : sink -> int -> int -> int -> bool)
     (roots : (int * int * int) list) : bool * int =
-  let pair_ids = Pair_tbl.create 64 in
+  let pairs = Tuples.create 3 in
+  let sink =
+    { c = Array.make 64 0; t = Array.make 64 0; s = Array.make 64 0; top = 0 }
+  in
   let local_ok = ref (Bytes.make 64 '\001') in
   let deps = ref (Array.make 64 [||]) in
-  let count = ref 0 in
   let ensure n =
     if n > Bytes.length !local_ok then begin
       let lo = Bytes.make (2 * Bytes.length !local_ok) '\001' in
@@ -33,33 +60,41 @@ let solve ?(budget = Engine.Budget.unlimited)
     end
   in
   let rec explore c t s =
-    let key = (c, t, s) in
-    match Pair_tbl.find pair_ids key with
-    | pid -> pid
-    | exception Not_found ->
+    let key = pairs.Tuples.key in
+    key.(0) <- c;
+    key.(1) <- t;
+    key.(2) <- s;
+    let pid = Tuples.find pairs in
+    if pid >= 0 then pid
+    else begin
       Engine.Budget.spend_state budget;
-      let pid = !count in
-      incr count;
-      ensure !count;
-      Pair_tbl.add pair_ids key pid;
-      let node_ok, node_deps = analyze c t s in
-      let ok = ref node_ok in
-      let dep_ids =
-        List.filter_map
-          (function
-            | Const true -> None
-            | Const false ->
-              ok := false;
-              None
-            | Dep (c', t', s') -> Some (explore c' t' s'))
-          node_deps
-      in
-      if not !ok then Bytes.set !local_ok pid '\000';
-      !deps.(pid) <- Array.of_list dep_ids;
+      let pid = Tuples.add pairs pid in
+      ensure (pid + 1);
+      let base = sink.top in
+      let ok = analyze sink c t s in
+      let top = sink.top in
+      let ndeps = ref 0 in
+      for j = base to top - 1 do
+        if sink.c.(j) >= 0 then incr ndeps
+        else if sink.c.(j) = -1 then Bytes.set !local_ok pid '\000'
+      done;
+      if not ok then Bytes.set !local_ok pid '\000';
+      let dep_ids = Array.make !ndeps 0 in
+      let k = ref 0 in
+      for j = base to top - 1 do
+        let c' = sink.c.(j) in
+        if c' >= 0 then begin
+          dep_ids.(!k) <- explore c' sink.t.(j) sink.s.(j);
+          incr k
+        end
+      done;
+      sink.top <- base;
+      !deps.(pid) <- dep_ids;
       pid
+    end
   in
   let root_ids = List.map (fun (c, t, s) -> explore c t s) roots in
-  let n = !count in
+  let n = pairs.Tuples.count in
   let rdeps = Array.make (max n 1) [] in
   for pid = 0 to n - 1 do
     Array.iter (fun q -> rdeps.(q) <- pid :: rdeps.(q)) !deps.(pid)

@@ -49,19 +49,6 @@ let mem_le (d : Domain.t) m1 m2 =
         (Loc.Map.find_default ~default:Value.zero x m2))
     d.Domain.na_locs
 
-(* The game logic below is written once against this vtable and
-   instantiated twice: [slow_ops] recomputes lines and move lists at
-   every use (the reference implementation, kept under {!Slow}), the
-   fast path serves both from a {!Core} context's per-configuration
-   memos.  Both must return identical values — the games may not drift. *)
-type ops = {
-  line : Config.t -> Config.line;
-  moves : Config.t -> Config.move list;
-}
-
-let slow_ops (d : Domain.t) : ops =
-  { line = Config.line; moves = Config.moves d }
-
 (* The source's position while answering the labels of one target move.
    RMWs and acquire-release fences emit two labels atomically; the pending
    constructors hold the forced second half. *)
@@ -211,7 +198,7 @@ let respond_pending (point : src_point) (ev : Event.t) :
 
 (* Have the source answer the label list of one target move, advancing
    through its unlabeled line between moves. *)
-let rec consume (ops : ops) (point : src_point) (evs : Event.t list)
+let rec consume (point : src_point) (evs : Event.t list)
     (next_t : Config.next) : answer =
   match evs with
   | [] ->
@@ -223,23 +210,23 @@ let rec consume (ops : ops) (point : src_point) (evs : Event.t list)
        (match next_t with
         | Config.Bot ->
           (* target ⊥ now: source must reach ⊥ by unlabeled steps *)
-          let ln = ops.line scfg in
+          let ln = Config.line scfg in
           Const (ln.Config.line_end = Config.L_bot)
         | Config.Cont tcfg' -> Dep { tgt = tcfg'; src = scfg }))
   | ev :: rest ->
     (match point with
      | Pend_rel _ | Pend_acq _ ->
        (match respond_pending point ev with
-        | `Ok point' -> consume ops point' rest next_t
+        | `Ok point' -> consume point' rest next_t
         | `Bot -> Const true
         | `No -> Const false)
      | Plain scfg ->
-       let ln = ops.line scfg in
+       let ln = Config.line scfg in
        (match ln.Config.line_end with
         | Config.L_bot -> Const true  (* ⟨matched-prefix, ⊥⟩ matches all *)
         | Config.L_label scfg' ->
           (match respond1 scfg' ev with
-           | `Ok point' -> consume ops point' rest next_t
+           | `Ok point' -> consume point' rest next_t
            | `Bot -> Const true
            | `No -> Const false)
         | Config.L_term _ | Config.L_diverge -> Const false))
@@ -250,9 +237,9 @@ type node = {
   deps : answer list;  (* one per instantiated target move *)
 }
 
-let analyze (ops : ops) (d : Domain.t) (p : pair) : node =
-  let ln_t = ops.line p.tgt in
-  let ln_s = ops.line p.src in
+let analyze (d : Domain.t) (p : pair) : node =
+  let ln_t = Config.line p.tgt in
+  let ln_s = Config.line p.src in
   if ln_s.Config.line_end = Config.L_bot then { local_ok = true; deps = [] }
   else if not (Loc.Set.subset ln_t.Config.written_max ln_s.Config.written_max)
   then { local_ok = false; deps = [] }
@@ -276,8 +263,8 @@ let analyze (ops : ops) (d : Domain.t) (p : pair) : node =
        | Config.L_label scfg' ->
          let answers =
            List.map
-             (fun (evs, next_t) -> consume ops (Plain scfg') evs next_t)
-             (ops.moves tcfg')
+             (fun (evs, next_t) -> consume (Plain scfg') evs next_t)
+             (Config.moves d tcfg')
          in
          { local_ok = true; deps = answers }
        | Config.L_bot | Config.L_term _ | Config.L_diverge ->
@@ -289,7 +276,7 @@ let analyze (ops : ops) (d : Domain.t) (p : pair) : node =
    charged one state per explored pair and polled along both phases; with
    the default unlimited budget every call is a no-op and the result is
    identical to the unbudgeted checker. *)
-let solve ?(budget = Engine.Budget.unlimited) (ops : ops) (d : Domain.t)
+let solve ?(budget = Engine.Budget.unlimited) (d : Domain.t)
     (roots : pair list) : node Pair_map.t * bool Pair_map.t =
   (* Phase 1: explore the reachable pair graph. *)
   let nodes : node Pair_map.t ref = ref Pair_map.empty in
@@ -298,7 +285,7 @@ let solve ?(budget = Engine.Budget.unlimited) (ops : ops) (d : Domain.t)
       Engine.Budget.spend_state budget;
       (* insert a stub first to cut cycles *)
       nodes := Pair_map.add p { local_ok = true; deps = [] } !nodes;
-      let node = analyze ops d p in
+      let node = analyze d p in
       nodes := Pair_map.add p node !nodes;
       List.iter
         (function Dep q -> explore q | Const _ -> ())
@@ -339,7 +326,7 @@ let solve ?(budget = Engine.Budget.unlimited) (ops : ops) (d : Domain.t)
 module Slow = struct
   let check_pairs_count ?budget (d : Domain.t) (roots : pair list) :
       bool * int =
-    let nodes, alive = solve ?budget (slow_ops d) d roots in
+    let nodes, alive = solve ?budget d roots in
     ( List.for_all (fun p -> Pair_map.find p alive) roots,
       Pair_map.cardinal nodes )
 
@@ -347,74 +334,77 @@ module Slow = struct
     fst (check_pairs_count ?budget d roots)
 end
 
-(* Fast path: the game over {!Core} configuration ids (lines and move
-   lists memoized per id), solved by {!Pair_graph} with commitment mask
-   0.  The source starts answering each target move at its line end,
-   whose id the line memo holds; only the configurations it reaches
-   along the move's labels go through [Core.intern]. *)
-let solve_fast ?budget (core : Core.t) (d : Domain.t) (roots : pair list) :
-    bool * int =
-  (* Mirrors [consume], at id granularity: [consume_id] answers from a
-     plain source configuration with a known id, [consume_point] from any
-     point.  [next_t] is the interned continuation of the move (-1 for
-     [Bot]). *)
-  let rec consume_id (sid : int) (evs : Event.t list) (next_t : int) :
-      Pair_graph.answer =
-    match evs with
-    | [] ->
-      if next_t >= 0 then Pair_graph.Dep (0, next_t, sid)
-      else Const ((Core.line_id core sid).Config.line_end = Config.L_bot)
-    | ev :: rest ->
-      (match (Core.line_id core sid).Config.line_end with
-       | Config.L_bot -> Const true
-       | Config.L_label scfg' -> continue (respond1 scfg' ev) rest next_t
-       | Config.L_term _ | Config.L_diverge -> Const false)
-  and consume_point (point : src_point) evs next_t : Pair_graph.answer =
-    match point, evs with
-    | Plain scfg, _ -> consume_id (Core.intern core scfg) evs next_t
-    | (Pend_rel _ | Pend_acq _), [] -> Const false
-    | (Pend_rel _ | Pend_acq _), ev :: rest ->
-      continue (respond_pending point ev) rest next_t
-  and continue r rest next_t =
-    match r with
-    | `Ok point' -> consume_point point' rest next_t
-    | `Bot -> Const true
-    | `No -> Const false
+(* Fast path: the game over {!Core} configuration ids, solved by
+   {!Pair_graph} with commitment mask 0.  Lines and move lists are
+   memoized per id, and the source answers each target label from its
+   id by {!Core.answer}; the written-set and released-memory conditions
+   of the simple game are checked here. *)
+let solve_fast ?budget (core : Core.t) (roots : pair list) : bool * int =
+  (* the conditions [respond1]/[respond_pending] put on a label's
+     annotations, beyond those {!Core.answer} checks *)
+  let respond pt l : Core.point =
+    let c = Core.point_id pt in
+    if
+      (Core.is_acquire core l || Core.is_release core l)
+      && (Core.label_written core l land lnot (Core.written_mask core c) <> 0
+         || (Core.is_release core l && Core.release_excess core l c <> 0))
+    then Core.No
+    else Core.answer core pt l
   in
-  (* [analyze] at the id level: local obligations plus one answer per
-     instantiated target move. *)
-  let analyze _ (tid : int) (sid : int) : bool * Pair_graph.answer list =
-    let ln_t = Core.line_id core tid in
-    let ln_s = Core.line_id core sid in
-    if ln_s.Config.line_end = Config.L_bot then (true, [])
+  (* Mirrors [consume]: the source at point [pt] answers labels [i..] of
+     [labs]; [next_t] is the target's successor id (-1 for ⊥).  The
+     answer goes to [sink]. *)
+  let rec consume sink (pt : Core.point) (labs : int array) i (next_t : int)
+      =
+    match pt with
+    | Core.No -> Pair_graph.const sink false
+    | Core.Bot -> Pair_graph.const sink true
+    | Core.Plain sid ->
+      if i = Array.length labs then
+        if next_t >= 0 then Pair_graph.dep sink 0 next_t sid
+        else
+          Pair_graph.const sink
+            (match Core.line_end core sid with Core.L_bot -> true | _ -> false)
+      else (
+        match Core.line_end core sid with
+        | Core.L_bot -> Pair_graph.const sink true
+        | Core.L_label ->
+          consume sink
+            (respond (Core.Plain (Core.line_next core sid)) labs.(i))
+            labs (i + 1) next_t
+        | Core.L_term _ | Core.L_diverge -> Pair_graph.const sink false)
+    | Core.Pend_rel _ | Core.Pend_acq _ ->
+      if i = Array.length labs then Pair_graph.const sink false
+      else consume sink (respond pt labs.(i)) labs (i + 1) next_t
+  in
+  (* [analyze] at the id level: the local obligations, with one answer
+     per instantiated target move sent to [sink]. *)
+  let analyze sink _ (tid : int) (sid : int) : bool =
+    let et = Core.line_end core tid and es = Core.line_end core sid in
+    if es = Core.L_bot then true
     else if
-      (* written_max subset, as a packed-mask test *)
       Core.line_wmax_mask core tid land lnot (Core.line_wmax_mask core sid)
       <> 0
-    then (false, [])
+    then false
     else
-      match ln_t.Config.line_end with
-      | Config.L_bot -> (false, [])
-      | Config.L_diverge -> (true, [])
-      | Config.L_term (v, tcfg') ->
-        (match ln_s.Config.line_end with
-         | Config.L_term (v', scfg') ->
-           ( Value.le v v'
-             && Loc.Set.subset tcfg'.Config.written scfg'.Config.written
-             && mem_le d tcfg'.Config.mem scfg'.Config.mem,
-             [] )
-         | Config.L_bot | Config.L_diverge | Config.L_label _ -> (false, []))
-      | Config.L_label _ ->
-        (match ln_s.Config.line_end with
-         | Config.L_label _ ->
-           let t'id = Core.line_next core tid in
-           let s'id = Core.line_next core sid in
-           let nexts = Core.moves_next core t'id in
-           ( true,
-             List.mapi
-               (fun k (evs, _) -> consume_id s'id evs nexts.(k))
-               (Core.moves_id core t'id) )
-         | Config.L_bot | Config.L_term _ | Config.L_diverge -> (false, []))
+      match et, es with
+      | Core.L_bot, _ -> false
+      | Core.L_diverge, _ -> true
+      | Core.L_term v, Core.L_term v' ->
+        let t' = Core.line_next core tid and s' = Core.line_next core sid in
+        Value.le v v'
+        && Core.written_mask core t' land lnot (Core.written_mask core s') = 0
+        && Core.mem_le core (Core.mem_id core t') (Core.mem_id core s')
+      | Core.L_label, Core.L_label ->
+        let t' = Core.line_next core tid in
+        let s' = Core.Plain (Core.line_next core sid) in
+        let labs = Core.moves_labels core t' in
+        let nexts = Core.moves_next core t' in
+        for k = 0 to Array.length labs - 1 do
+          consume sink s' (Core.list_labels core labs.(k)) 0 nexts.(k)
+        done;
+        true
+      | (Core.L_term _ | Core.L_label), _ -> false
   in
   Pair_graph.solve ?budget ~analyze
     (List.map
@@ -442,7 +432,7 @@ let check_pairs_count ?budget (d : Domain.t) (roots : pair list) : bool * int =
            ignore (Core.intern core p.src))
          roots
      with
-     | () -> solve_fast ?budget core d roots
+     | () -> solve_fast ?budget core roots
      | exception Packed.Unpackable -> Slow.check_pairs_count ?budget d roots)
 
 let check_pairs ?budget (d : Domain.t) (roots : pair list) : bool =
@@ -570,7 +560,7 @@ let find_counterexample ?budget (d : Domain.t) (roots : pair list) :
     counterexample option =
   (* counterexample extraction stays on the reference solver: it walks
      [nodes], which only the Pair_map phase produces *)
-  let nodes, alive = solve ?budget (slow_ops d) d roots in
+  let nodes, alive = solve ?budget d roots in
   match List.find_opt (fun p -> not (Pair_map.find p alive)) roots with
   | None -> None
   | Some root ->

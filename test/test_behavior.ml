@@ -138,9 +138,10 @@ let outcomes_mismatch ~reference p =
   | Some core -> (
     match
       let o = B.outcomes ~budget:(budget ()) core ~fuel cfg in
-      let tables = Seq_model.Config.make_tables d in
       let memoized =
-        project (B.enumerate ~budget:(budget ()) ?tables d ~fuel cfg)
+        project
+          (B.enumerate ~budget:(budget ())
+             ?core:(Seq_model.Core.create d) d ~fuel cfg)
       in
       let recursive =
         if reference then
@@ -153,7 +154,7 @@ let outcomes_mismatch ~reference p =
       Some (Printf.sprintf "%d-state budget exhausted" outcome_budget)
     | o, memoized, recursive ->
       if not (equal_outcomes o memoized) then
-        Some "outcomes <> tables projection"
+        Some "outcomes <> memoized projection"
       else if
         match recursive with
         | Some r -> not (equal_outcomes o r)
@@ -186,7 +187,7 @@ let e12_programs () =
 let outcomes_e12 () =
   List.iteri
     (fun i p ->
-      if Seq_model.Config.make_tables (Domain.of_stmts [ p ]) <> None then
+      if Seq_model.Core.create (Domain.of_stmts [ p ]) <> None then
         match outcomes_mismatch ~reference:false p with
         | None -> ()
         | Some why ->
