@@ -51,7 +51,7 @@ val acquire_choices : t -> Loc.Set.t -> (Loc.Set.t * Value.t Loc.Map.t) list
 (** All acquire instantiations from a permission set: the post set paired
     with the assignment of environment-provided values to the gained
     locations.  The canonical enumeration (content {e and} order) that both
-    the uncached SEQ transitions and the packed per-mask caches
-    ({!Packed.acquire_choices}) share. *)
+    the set-based SEQ transitions and the packed per-mask tables
+    ({!Packed.acquire_choice}) share. *)
 
 val pp : Format.formatter -> t -> unit
