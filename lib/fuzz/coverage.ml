@@ -78,8 +78,8 @@ let state_signals p =
   let p = Stmt.normalize p in
   let d = Domain.of_stmts [ p ] in
   match Seq_model.Core.create d with
-  | None -> [ "core:unpackable" ]
-  | Some core ->
+  | exception Packed.Unpackable -> [ "core:unpackable" ]
+  | core ->
     let root =
       Seq_model.Config.make ~perm:(Domain.na_set d) (Prog.init p)
     in

@@ -86,11 +86,7 @@ let check_pass_correct ~budget (p : Stmt.t) : string option =
    per configuration. *)
 let dynamic_racy ~budget (p : Stmt.t) : ([ `Read | `Write ] * Loc.t) list =
   let d = Domain.of_stmts ~values:[ Value.Int 0; Value.Int 1 ] [ p ] in
-  let core =
-    match Seq_model.Core.create d with
-    | Some c -> c
-    | None -> raise Packed.Unpackable
-  in
+  let core = Seq_model.Core.create d in
   let seen = ref (Bytes.make 64 '\000') in
   let acc = ref [] in
   let rec visit id =
@@ -230,11 +226,7 @@ let check_baseline_env ~budget (s : subject) : string option =
     then Some "catch-fire disagrees with SC on a race-free program"
     else begin
       let d = Domain.of_stmts [ p ] in
-      let core =
-        match Seq_model.Core.create d with
-        | Some c -> c
-        | None -> raise Packed.Unpackable
-      in
+      let core = Seq_model.Core.create d in
       let cfg =
         Seq_model.Config.make ~perm:(Domain.na_set d) (Prog.init p)
       in

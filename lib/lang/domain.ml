@@ -78,9 +78,9 @@ let subsets_of d (p : Loc.Set.t) : Loc.Set.t list =
 (** All acquire instantiations from permission set [p]: the post set
     paired with the environment-provided values for the gained locations.
     This is {e the} canonical enumeration (content and order) of the
-    acquire choices of Fig 1 — {!Seq_model.Config.moves} and the packed
-    caches of {!Packed} both delegate here, so cached and uncached
-    enumeration can never drift apart. *)
+    acquire choices of Fig 1 — the packed caches of {!Packed} and the
+    set-based reference transitions of the tests both delegate here, so
+    cached and uncached enumeration can never drift apart. *)
 let acquire_choices d (p : Loc.Set.t) : (Loc.Set.t * Value.t Loc.Map.t) list =
   List.concat_map
     (fun post ->

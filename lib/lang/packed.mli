@@ -13,7 +13,8 @@ type t
 exception Unpackable
 (** Raised when a location, value, or memory lies outside the packed
     universe, or when the domain exceeds {!max_locs} non-atomic
-    locations.  Callers fall back to the set-based path. *)
+    locations.  SEQ has no other evaluation path, so a check that raises
+    it is undecided ([Engine.Verdict.run] reports [Unknown]). *)
 
 val max_locs : int
 (** Upper bound on packable non-atomic footprints (mask tables are

@@ -4,57 +4,26 @@
 
 open Lang
 
-(** Can the configuration reach ⊥ without any acquire event, under every
-    oracle (environment choices universally quantified)?  The late-UB
-    escape of Fig 6: such a source matches every target behavior. *)
-val can_fail_universally : ?budget:Engine.Budget.t -> Domain.t -> Config.t -> bool
-
-(** Can the configuration, without acquires and under every oracle, extend
-    its execution until its writes cover [need]?  (rule beh-partial;
-    reaching ⊥ also wins, via beh-failure.) *)
-val can_fulfill_universally :
-  ?budget:Engine.Budget.t -> Domain.t -> need:Loc.Set.t -> Config.t -> bool
-
 (** A simulation node: commitment set R plus the two configurations. *)
 type pair = { commit : Loc.Set.t; tgt : Config.t; src : Config.t }
 
-(** The set-based reference checker (no hash-consing, no transition or
-    suffix-game memoization beyond the per-check [can_fail] memo the
-    checker always had).  Same game as the default entry points, so
-    verdicts {e and} explored node counts must agree — enforced by
-    test/test_diffcore.ml. *)
-module Slow : sig
-  val check_pairs : ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool
-
-  val check_pairs_count :
-    ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool * int
-end
-
-(** Decide refinement from a set of initial pairs.  [budget] (default
-    unlimited, a no-op) is charged one state per explored simulation node
-    and polled along the fixpoint and inside the ∀-oracle suffix games; on
-    exhaustion {!Engine.Budget.Exhausted} escapes — use the [_verdict]
-    forms to get [Unknown] instead.
-
-    Runs the hash-consed, memoized fast path when the domain and roots
-    pack (falling back to {!Slow} otherwise); verdict and node count are
-    identical either way. *)
-val check_pairs : ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool
-
-(** Like {!check_pairs}, also reporting the number of simulation nodes
-    explored. *)
+(** Decide refinement from a set of initial pairs, also reporting the
+    number of simulation nodes explored.  [budget] (default unlimited, a
+    no-op) is charged one state per explored simulation node and polled
+    along the fixpoint and inside the ∀-oracle suffix games; on
+    exhaustion {!Engine.Budget.Exhausted} escapes — use {!check_verdict}
+    to get [Unknown] instead.  The game runs on {!Core} ids.
+    @raise Lang.Packed.Unpackable when the domain has more than
+    {!Lang.Packed.max_locs} non-atomic locations or a root leaves it. *)
 val check_pairs_count :
   ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool * int
-
-(** Budgeted three-valued {!check_pairs}: never raises; budget exhaustion
-    and trapped exceptions are reported as [Unknown]. *)
-val check_pairs_verdict :
-  ?budget:Engine.Budget.t -> Domain.t -> pair list -> unit Engine.Verdict.t
 
 (** [check d ~src ~tgt] decides [σ_tgt ⊑w σ_src] (Def 3.3) over the finite
     domain.  Implies nothing about termination; by Prop 3.4 it is implied
     by {!Refine.check}.  @raise Config.Mixed_access on mixed-mode use of a
     location.
+    @raise Lang.Packed.Unpackable beyond {!Lang.Packed.max_locs}
+    non-atomic locations, before any root is built.
     @raise Engine.Budget.Exhausted when [budget] runs out. *)
 val check :
   ?quantify_written:bool -> ?symmetry:bool -> ?budget:Engine.Budget.t ->

@@ -22,12 +22,12 @@
     a source position by the same packed step.  No [Config.t] is built
     per move, line step or answer; {!cfg} decodes an id on demand.
 
-    Fidelity: moves decode to {!Config.moves} (labels, order and
-    successors) and lines to {!Config.line}; test/test_diffcore.ml
-    checks both on every reachable configuration of its samples, and
-    verdicts and explored pair counts against the set-based reference
-    checkers ([Refine.Slow], [Advanced.Slow]).  The pair graph the games
-    build over these ids is solved by {!Pair_graph}. *)
+    Fidelity: moves and lines decode to those of the set-based
+    reference in the test-only [Seq_ref] library (labels, order and
+    successors); test/test_diffcore.ml checks both on every reachable
+    configuration of its samples, and verdicts and explored pair counts
+    against its reference checkers.  The pair graph the games build over
+    these ids is solved by {!Pair_graph}. *)
 
 open Lang
 
@@ -123,42 +123,39 @@ let grow_to a n fill =
   Array.blit a 0 g 0 (Array.length a);
   g
 
-let create (d : Domain.t) : t option =
-  match Packed.make d with
-  | exception Packed.Unpackable -> None
-  | pk ->
-    let ids l = Array.of_list (List.map (Packed.value_id pk) l) in
-    Some
-      {
-        d;
-        pk;
-        vals = ids (Domain.values_with_undef d);
-        choose_vals = ids d.Domain.values;
-        loc_codes = Hashtbl.create 8;
-        prog_ids = Prog_tbl.create 64;
-        prog_rev = [||];
-        prog_shape = [||];
-        cfgs = Tuples.create 4;
-        line_ends = [||];
-        line_next = [||];
-        line_wmax = [||];
-        moves_lab = [||];
-        moves_next = [||];
-        suffixes = [||];
-        labs = Tuples.create 7;
-        lab_ev = [||];
-        lab_vid = [||];
-        lab_pre = [||];
-        lab_post = [||];
-        lab_written = [||];
-        lab_env = [||];
-        lists = Tuples.create 2;
-        list_evs = [||];
-        list_labs = [||];
-        buf_lab = Array.make 16 0;
-        buf_next = Array.make 16 0;
-        nbuf = 0;
-      }
+let create (d : Domain.t) : t =
+  let pk = Packed.make d in
+  let ids l = Array.of_list (List.map (Packed.value_id pk) l) in
+  {
+    d;
+    pk;
+    vals = ids (Domain.values_with_undef d);
+    choose_vals = ids d.Domain.values;
+    loc_codes = Hashtbl.create 8;
+    prog_ids = Prog_tbl.create 64;
+    prog_rev = [||];
+    prog_shape = [||];
+    cfgs = Tuples.create 4;
+    line_ends = [||];
+    line_next = [||];
+    line_wmax = [||];
+    moves_lab = [||];
+    moves_next = [||];
+    suffixes = [||];
+    labs = Tuples.create 7;
+    lab_ev = [||];
+    lab_vid = [||];
+    lab_pre = [||];
+    lab_post = [||];
+    lab_written = [||];
+    lab_env = [||];
+    lists = Tuples.create 2;
+    list_evs = [||];
+    list_labs = [||];
+    buf_lab = Array.make 16 0;
+    buf_next = Array.make 16 0;
+    nbuf = 0;
+  }
 
 let packed t = t.pk
 let cfg_count t = t.cfgs.Tuples.count
@@ -314,7 +311,7 @@ let mem_le t m1 m2 =
 (* The unlabeled line                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [Config.line] on quads, with Brent's cycle detection instead of a set
+(* The unlabeled line on quads, with Brent's cycle detection instead of a set
    of visited configurations: one quad comparison against a checkpoint
    per step.  Output-identical: divergence is detected iff the
    deterministic step sequence is infinite, and every configuration on
@@ -593,7 +590,7 @@ let rel_moves t ~l0 kind x vid p' a w m =
     push t lid (cfg_id t p' post 0 m)
   done
 
-(* [Config.moves] on the quad of [id], in the same order. *)
+(* All moves of the quad of [id], in the reference's order. *)
 let compute_moves t id =
   let p = prog_of t id
   and a = perm_mask t id

@@ -7,18 +7,21 @@
     (program id, permission mask, written mask, memory id) and every
     transition — line, moves, suffix branching, the source's answer in a
     refinement game — is computed on quads, memoized per id.  What they
-    compute is exactly what their set-based counterparts in {!Config}
-    compute; the differential harness (test/test_diffcore.ml) checks the
+    compute is exactly what the set-based transitions of Fig 1 compute;
+    the differential harness (test/test_diffcore.ml) checks the
     moves and lines on every reachable configuration of its samples, and
-    verdicts and pair counts against the set-based reference checkers. *)
+    verdicts and pair counts against the set-based reference checkers of
+    the test-only [Seq_ref] library.  The core is the only way SEQ is
+    evaluated in [lib/]: a domain it cannot pack is an undecided check. *)
 
 open Lang
 
 type t
 
-val create : Domain.t -> t option
-(** [None] when the domain's non-atomic footprint exceeds
-    {!Lang.Packed.max_locs}: callers stay on the set-based path. *)
+val create : Domain.t -> t
+(** @raise Lang.Packed.Unpackable when the domain's non-atomic footprint
+    exceeds {!Lang.Packed.max_locs}; {!Engine.Verdict.run} reports that
+    as [Unknown]. *)
 
 val packed : t -> Packed.t
 
@@ -54,8 +57,8 @@ val cfg_count : t -> int
 
 (** {2 The unlabeled line}
 
-    {!Config.line} per id: the end of the deterministic silent and
-    non-atomic steps, computed by a Brent-cycle walker on quads. *)
+    The end of the deterministic silent and non-atomic steps of an id,
+    computed by a Brent-cycle walker on quads. *)
 
 type line_end =
   | L_term of Value.t  (** terminated *)
@@ -74,7 +77,8 @@ val line_wmax_mask : t -> int -> int
 
 (** {2 Labeled moves}
 
-    {!Config.moves} per id, in the same order: move [k] emits the labels
+    All SEQ moves of an id (Fig 1), environment choices enumerated over
+    the domain in {!Lang.Domain}'s order: move [k] emits the labels
     of label-list id [(moves_labels t id).(k)] and leads to
     [(moves_next t id).(k)]. *)
 

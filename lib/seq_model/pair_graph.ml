@@ -1,6 +1,6 @@
 (* Phase 1 registers a pair before analyzing it (cutting cycles) and
    then explores its dependencies in order, charging the budget one state
-   per new pair — the DFS of the set-based reference solvers.  Phase 2
+   per new pair — the DFS of the set-based reference solver.  Phase 2
    computes the same greatest fixpoint by reverse-dependency
    propagation: a pair dies iff its local obligations fail or it
    depends, transitively, on a dead pair — O(pairs + deps) instead of
@@ -40,13 +40,24 @@ let push sink c t s =
 let const sink b = push sink (if b then -2 else -1) 0 0
 let dep sink c t s = push sink c t s
 
+let sink () =
+  { c = Array.make 64 0; t = Array.make 64 0; s = Array.make 64 0; top = 0 }
+
+type answer = Const of bool | Dep of int * int * int
+
+let answers sink =
+  List.init sink.top (fun j ->
+      match sink.c.(j) with
+      | -1 -> Const false
+      | -2 -> Const true
+      | c -> Dep (c, sink.t.(j), sink.s.(j)))
+
 let solve ?(budget = Engine.Budget.unlimited)
     ~(analyze : sink -> int -> int -> int -> bool)
-    (roots : (int * int * int) list) : bool * int =
+    (roots : (int * int * int) list) :
+    bool * int * (int -> int -> int -> bool) =
   let pairs = Tuples.create 3 in
-  let sink =
-    { c = Array.make 64 0; t = Array.make 64 0; s = Array.make 64 0; top = 0 }
-  in
+  let sink = sink () in
   let local_ok = ref (Bytes.make 64 '\001') in
   let deps = ref (Array.make 64 [||]) in
   let ensure n =
@@ -59,12 +70,15 @@ let solve ?(budget = Engine.Budget.unlimited)
       deps := dp
     end
   in
-  let rec explore c t s =
+  let find c t s =
     let key = pairs.Tuples.key in
     key.(0) <- c;
     key.(1) <- t;
     key.(2) <- s;
-    let pid = Tuples.find pairs in
+    Tuples.find pairs
+  in
+  let rec explore c t s =
+    let pid = find c t s in
     if pid >= 0 then pid
     else begin
       Engine.Budget.spend_state budget;
@@ -123,4 +137,8 @@ let solve ?(budget = Engine.Budget.unlimited)
       drain ()
   in
   drain ();
-  (List.for_all (fun pid -> alive.(pid)) root_ids, n)
+  ( List.for_all (fun pid -> alive.(pid)) root_ids,
+    n,
+    fun c t s ->
+      let pid = find c t s in
+      pid >= 0 && alive.(pid) )

@@ -13,8 +13,6 @@ open Lang
     on the permission set. *)
 type pair = { tgt : Config.t; src : Config.t }
 
-val compare_pair : pair -> pair -> int
-
 (** Initial pairs realizing Def 2.4's "for every P, F, M".
     [quantify_written] additionally ranges the initial F over all subsets;
     by monotonicity of all F-side conditions in a common initial F, the
@@ -26,26 +24,14 @@ val initial_pairs :
   tgt:Prog.state ->
   pair list
 
-(** The set-based reference checker: recomputes every line and move list,
-    runs the greatest fixpoint by repeated full passes — none of the fast
-    path's caching layers.  Same game, so verdicts {e and} explored pair
-    counts must agree with the default entry points (the differential
-    harness in test/test_diffcore.ml enforces this). *)
-module Slow : sig
-  val check_pairs : ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool
-
-  val check_pairs_count :
-    ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool * int
-end
-
 (** Decide refinement from a set of initial pairs.  [budget] (default
     unlimited, a no-op) is charged one state per explored simulation pair
     and polled along the fixpoint; on exhaustion {!Engine.Budget.Exhausted}
-    escapes — use the [_verdict] forms to get [Unknown] instead.
+    escapes — use {!check_verdict} to get [Unknown] instead.
 
-    Runs the hash-consed, memoized fast path when the domain and roots
-    pack (falling back to {!Slow} otherwise); verdict and pair count are
-    identical either way. *)
+    The game runs on {!Core} ids.
+    @raise Lang.Packed.Unpackable when the domain has more than
+    {!Lang.Packed.max_locs} non-atomic locations or a root leaves it. *)
 val check_pairs : ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool
 
 (** Like {!check_pairs}, also reporting the number of simulation pairs
@@ -53,10 +39,15 @@ val check_pairs : ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool
 val check_pairs_count :
   ?budget:Engine.Budget.t -> Domain.t -> pair list -> bool * int
 
-(** Budgeted three-valued {!check_pairs}: never raises; budget exhaustion
-    and trapped exceptions are reported as [Unknown]. *)
-val check_pairs_verdict :
-  ?budget:Engine.Budget.t -> Domain.t -> pair list -> unit Engine.Verdict.t
+(** The initial pairs of {!initial_pairs} for two programs, reduced by
+    [symmetry] (one initial environment per orbit of the location
+    renamings fixing both programs), with the core to solve them on.
+    @raise Config.Mixed_access on mixed atomic/non-atomic use.
+    @raise Lang.Packed.Unpackable beyond {!Lang.Packed.max_locs}
+    non-atomic locations, before any root is built. *)
+val program_roots :
+  ?quantify_written:bool -> symmetry:bool -> Domain.t ->
+  src:Stmt.t -> tgt:Stmt.t -> Core.t * pair list
 
 (** [check d ~src ~tgt] decides [σ_tgt ⊑ σ_src] (Def 2.4) over the finite
     domain.  [symmetry] (default off) explores one initial environment per
@@ -64,6 +55,8 @@ val check_pairs_verdict :
     preserved, pair counts reduced (hence off wherever counts are golden).
     @raise Config.Mixed_access on mixed atomic/non-atomic use of a
     location.
+    @raise Lang.Packed.Unpackable beyond {!Lang.Packed.max_locs}
+    non-atomic locations ({!check_verdict} answers [Unknown]).
     @raise Engine.Budget.Exhausted when [budget] runs out. *)
 val check :
   ?quantify_written:bool -> ?symmetry:bool -> ?budget:Engine.Budget.t ->

@@ -524,11 +524,11 @@ let stmt_arbitrary cfg ~size =
 
 (* All (kind, loc) pairs of racy non-atomic accesses SEQ can actually
    perform, over every initial permission set and memory of the domain —
-   a bounded but exhaustive-within-fuel exploration via Config.moves.
-   This set-based walk is the reference for the fuzz oracles' packed one
-   ({!Fuzz.Oracle.dynamic_racy}), which must visit the same
-   configurations in the same order: [budget] is charged one state per
-   visited configuration, as there. *)
+   a bounded but exhaustive-within-fuel exploration via the set-based
+   [Seq_ref.Moves.moves].  This walk is the reference for the fuzz
+   oracles' packed one ({!Fuzz.Oracle.dynamic_racy}), which must visit
+   the same configurations in the same order: [budget] is charged one
+   state per visited configuration, as there. *)
 let dynamic_racy_pairs ?(budget = Engine.Budget.unlimited) (s : Stmt.t) :
     ([ `Read | `Write ] * Loc.t) list =
   let module CSet = Set.Make (Seq_model.Config) in
@@ -552,9 +552,9 @@ let dynamic_racy_pairs ?(budget = Engine.Budget.unlimited) (s : Stmt.t) :
       List.iter
         (fun (_, next) ->
           match next with
-          | Seq_model.Config.Cont c -> visit c
-          | Seq_model.Config.Bot -> ())
-        (Seq_model.Config.moves d cfg)
+          | Seq_ref.Moves.Cont c -> visit c
+          | Seq_ref.Moves.Bot -> ())
+        (Seq_ref.Moves.moves d cfg)
     end
   in
   List.iter

@@ -1,9 +1,10 @@
 (* Differential harness for the fast enumeration core (Seq_model.Core):
    the hash-consed, memoized checkers and the packed per-mask caches must
    be observationally identical to the set-based reference
-   implementations — same verdicts, same explored pair counts, same
-   transition lists (content and order), same behavior sets — across the
-   litmus corpus, random generated programs, and worker counts. *)
+   implementations of the test-only Seq_ref library — same verdicts,
+   same explored pair counts, same transition lists (content and order),
+   same behavior sets — across the litmus corpus, random generated
+   programs, and worker counts. *)
 
 open Lang
 module C = Litmus.Catalog
@@ -41,7 +42,7 @@ let corpus_suite =
         List.iter2
           (fun (tr : C.transformation) ((d, _, _) as item) ->
             let roots = refine_roots item in
-            let v_slow, n_slow = Seq_model.Refine.Slow.check_pairs_count d roots in
+            let v_slow, n_slow = Seq_ref.Refine.check_pairs_count d roots in
             let v_fast, n_fast = Seq_model.Refine.check_pairs_count d roots in
             Alcotest.(check bool) (tr.C.name ^ ": verdict") v_slow v_fast;
             Alcotest.(check int) (tr.C.name ^ ": pair count") n_slow n_fast)
@@ -52,7 +53,7 @@ let corpus_suite =
           (fun (tr : C.transformation) ((d, _, _) as item) ->
             let roots = advanced_roots item in
             let v_slow, n_slow =
-              Seq_model.Advanced.Slow.check_pairs_count d roots
+              Seq_ref.Advanced.check_pairs_count d roots
             in
             let v_fast, n_fast = Seq_model.Advanced.check_pairs_count d roots in
             Alcotest.(check bool) (tr.C.name ^ ": verdict") v_slow v_fast;
@@ -134,9 +135,9 @@ let qcheck_games =
       let item = (d, src, tgt) in
       let roots = refine_roots item in
       let aroots = advanced_roots item in
-      Seq_model.Refine.Slow.check_pairs_count d roots
+      Seq_ref.Refine.check_pairs_count d roots
       = Seq_model.Refine.check_pairs_count d roots
-      && Seq_model.Advanced.Slow.check_pairs_count d aroots
+      && Seq_ref.Advanced.check_pairs_count d aroots
          = Seq_model.Advanced.check_pairs_count d aroots)
 
 let loop_cfg = { gen_cfg with Gen.allow_loops = true }
@@ -150,10 +151,9 @@ let qcheck_enumeration =
       let d = Domain.of_stmts [ p ] in
       let cfg = Seq_model.Config.make ~perm:(Domain.na_set d) (Prog.init p) in
       let fuel = (4 * Stmt.size p) + 16 in
-      let slow = Seq_model.Behavior.enumerate d ~fuel cfg in
+      let slow = Seq_ref.Behavior.enumerate d ~fuel cfg in
       let fast =
-        Seq_model.Behavior.enumerate ?core:(Seq_model.Core.create d) d ~fuel
-          cfg
+        Seq_model.Behavior.enumerate (Seq_model.Core.create d) ~fuel cfg
       in
       Seq_model.Behavior.Set.equal slow fast)
 
@@ -186,9 +186,9 @@ let reachable d p ~cap =
       List.iter
         (fun (_, next) ->
           match next with
-          | Seq_model.Config.Cont c -> Queue.add c queue
-          | Seq_model.Config.Bot -> ())
-        (Seq_model.Config.moves d cfg)
+          | Seq_ref.Moves.Cont c -> Queue.add c queue
+          | Seq_ref.Moves.Bot -> ())
+        (Seq_ref.Moves.moves d cfg)
     end
   done;
   CSet.elements !seen
@@ -197,42 +197,42 @@ let equal_move (evs1, n1) (evs2, n2) =
   List.compare Seq_model.Event.compare evs1 evs2 = 0
   &&
   match n1, n2 with
-  | Seq_model.Config.Bot, Seq_model.Config.Bot -> true
-  | Seq_model.Config.Cont c1, Seq_model.Config.Cont c2 ->
+  | Seq_ref.Moves.Bot, Seq_ref.Moves.Bot -> true
+  | Seq_ref.Moves.Cont c1, Seq_ref.Moves.Cont c2 ->
     Seq_model.Config.equal c1 c2
   | _ -> false
 
-let equal_line (l1 : Seq_model.Config.line) (l2 : Seq_model.Config.line) =
-  Loc.Set.equal l1.Seq_model.Config.written_max l2.Seq_model.Config.written_max
+let equal_line (l1 : Seq_ref.Moves.line) (l2 : Seq_ref.Moves.line) =
+  Loc.Set.equal l1.Seq_ref.Moves.written_max l2.Seq_ref.Moves.written_max
   &&
-  match l1.Seq_model.Config.line_end, l2.Seq_model.Config.line_end with
+  match l1.Seq_ref.Moves.line_end, l2.Seq_ref.Moves.line_end with
   | L_bot, L_bot | L_diverge, L_diverge -> true
   | L_term (v1, c1), L_term (v2, c2) ->
     Value.compare v1 v2 = 0 && Seq_model.Config.equal c1 c2
   | L_label c1, L_label c2 -> Seq_model.Config.equal c1 c2
   | _ -> false
 
-(* [Config.moves] and [Config.line] rebuilt from a core's packed moves
+(* The reference's moves and line rebuilt from a core's packed moves
    and line of an id. *)
-let decode_moves core id : Seq_model.Config.move list =
+let decode_moves core id : Seq_ref.Moves.move list =
   let nexts = Seq_model.Core.moves_next core id in
   Array.to_list
     (Array.mapi
        (fun k lid ->
          ( Seq_model.Core.labels core lid,
-           if nexts.(k) < 0 then Seq_model.Config.Bot
-           else Seq_model.Config.Cont (Seq_model.Core.cfg core nexts.(k)) ))
+           if nexts.(k) < 0 then Seq_ref.Moves.Bot
+           else Seq_ref.Moves.Cont (Seq_model.Core.cfg core nexts.(k)) ))
        (Seq_model.Core.moves_labels core id))
 
-let decode_line core id : Seq_model.Config.line =
+let decode_line core id : Seq_ref.Moves.line =
   let next () = Seq_model.Core.cfg core (Seq_model.Core.line_next core id) in
   {
-    Seq_model.Config.line_end =
+    Seq_ref.Moves.line_end =
       (match Seq_model.Core.line_end core id with
-       | Seq_model.Core.L_term v -> Seq_model.Config.L_term (v, next ())
-       | Seq_model.Core.L_bot -> Seq_model.Config.L_bot
-       | Seq_model.Core.L_diverge -> Seq_model.Config.L_diverge
-       | Seq_model.Core.L_label -> Seq_model.Config.L_label (next ()));
+       | Seq_model.Core.L_term v -> Seq_ref.Moves.L_term (v, next ())
+       | Seq_model.Core.L_bot -> Seq_ref.Moves.L_bot
+       | Seq_model.Core.L_diverge -> Seq_ref.Moves.L_diverge
+       | Seq_model.Core.L_label -> Seq_ref.Moves.L_label (next ()));
     written_max =
       Packed.set_of_mask (Seq_model.Core.packed core)
         (Seq_model.Core.line_wmax_mask core id);
@@ -307,29 +307,27 @@ let contract_suite =
           (fun srcp ->
             let p = Parser.stmt_of_string srcp in
             let d = Domain.of_stmts [ p ] in
-            match Seq_model.Core.create d with
-            | None -> Alcotest.fail "sample domain should pack"
-            | Some core ->
-              List.iter
-                (fun cfg ->
-                  let id = Seq_model.Core.intern core cfg in
-                  Alcotest.(check int)
-                    "cfg round-trips through intern" id
-                    (Seq_model.Core.intern core (Seq_model.Core.cfg core id));
-                  Alcotest.(check bool)
-                    "cfg decodes the interned configuration" true
-                    (Seq_model.Config.equal cfg (Seq_model.Core.cfg core id));
-                  let want = Seq_model.Config.moves d cfg in
-                  let got = decode_moves core id in
-                  Alcotest.(check int)
-                    "move count" (List.length want) (List.length got);
-                  List.iter2
-                    (fun mv1 mv2 ->
-                      Alcotest.(check bool)
-                        "same move (labels, order and successor)" true
-                        (equal_move mv1 mv2))
-                    want got)
-                (reachable d p ~cap:500))
+            let core = Seq_model.Core.create d in
+            List.iter
+              (fun cfg ->
+                let id = Seq_model.Core.intern core cfg in
+                Alcotest.(check int)
+                  "cfg round-trips through intern" id
+                  (Seq_model.Core.intern core (Seq_model.Core.cfg core id));
+                Alcotest.(check bool)
+                  "cfg decodes the interned configuration" true
+                  (Seq_model.Config.equal cfg (Seq_model.Core.cfg core id));
+                let want = Seq_ref.Moves.moves d cfg in
+                let got = decode_moves core id in
+                Alcotest.(check int)
+                  "move count" (List.length want) (List.length got);
+                List.iter2
+                  (fun mv1 mv2 ->
+                    Alcotest.(check bool)
+                      "same move (labels, order and successor)" true
+                      (equal_move mv1 mv2))
+                  want got)
+              (reachable d p ~cap:500))
           sample_programs);
     Alcotest.test_case "Core.line == Config.line on every reachable \
                         configuration (divergent loops included)" `Quick
@@ -338,16 +336,14 @@ let contract_suite =
           (fun srcp ->
             let p = Parser.stmt_of_string srcp in
             let d = Domain.of_stmts [ p ] in
-            match Seq_model.Core.create d with
-            | None -> Alcotest.fail "sample domain should pack"
-            | Some core ->
-              List.iter
-                (fun cfg ->
-                  Alcotest.(check bool)
-                    "same line" true
-                    (equal_line (Seq_model.Config.line cfg)
-                       (decode_line core (Seq_model.Core.intern core cfg))))
-                (reachable d p ~cap:500))
+            let core = Seq_model.Core.create d in
+            List.iter
+              (fun cfg ->
+                Alcotest.(check bool)
+                  "same line" true
+                  (equal_line (Seq_ref.Moves.line cfg)
+                     (decode_line core (Seq_model.Core.intern core cfg))))
+              (reachable d p ~cap:500))
           sample_programs);
     Alcotest.test_case "released_mem is independent of enumeration order"
       `Quick (fun () ->
@@ -360,13 +356,13 @@ let contract_suite =
                   Seq_model.Config.make ~perm ~mem
                     (Prog.init (Parser.stmt_of_string "return 0"))
                 in
-                let got = Seq_model.Config.released_mem d cfg in
+                let got = Seq_ref.Moves.released_mem d cfg in
                 (* the spec, built by folding over the permission set
                    itself — any enumeration order must produce this map *)
                 let want =
                   Loc.Set.fold
                     (fun x acc ->
-                      Loc.Map.add x (Seq_model.Config.read_mem cfg x) acc)
+                      Loc.Map.add x (Seq_ref.Moves.read_mem cfg x) acc)
                     perm Loc.Map.empty
                 in
                 Alcotest.(check int)
@@ -470,42 +466,40 @@ let intern_suite =
           (fun srcp ->
             let p = Parser.stmt_of_string srcp in
             let d = Domain.of_stmts [ p ] in
-            match Seq_model.Core.create d with
-            | None -> Alcotest.fail "sample domain should pack"
-            | Some core ->
-              let intern = Seq_model.Core.intern core in
-              let cfgs = Array.of_list (reachable d p ~cap:500) in
-              let ids = Array.map intern cfgs in
-              let n = Seq_model.Core.cfg_count core in
-              Alcotest.(check (array int)) "re-interning cfg id gives id" ids
-                (Array.map (fun id -> intern (Seq_model.Core.cfg core id)) ids);
-              let copies = Array.map deep_copy cfgs in
-              Alcotest.(check (array int)) "deep copies get the same ids" ids
-                (Array.map intern copies);
-              Alcotest.(check int) "no new configurations" n
-                (Seq_model.Core.cfg_count core);
-              let hits = 10_000 in
-              let before = Gc.minor_words () in
-              for k = 0 to hits - 1 do
-                ignore (intern copies.(k mod Array.length copies))
-              done;
-              let per_hit = (Gc.minor_words () -. before) /. float hits in
-              if per_hit > 16. then
-                Alcotest.failf "%s: %.1f words per hit (at most 16)" srcp
-                  per_hit;
-              let base = cfgs.(0) in
-              let foreign = Loc.make "Q" in
-              let unpackable name cfg =
-                match intern cfg with
-                | _ -> Alcotest.failf "%s: interned" name
-                | exception Packed.Unpackable -> ()
-              in
-              unpackable "foreign permission"
-                { base with perm = Loc.Set.add foreign base.perm };
-              unpackable "foreign written location"
-                { base with written = Loc.Set.add foreign base.written };
-              unpackable "foreign memory binding"
-                { base with mem = Loc.Map.add foreign Value.zero base.mem })
+            let core = Seq_model.Core.create d in
+            let intern = Seq_model.Core.intern core in
+            let cfgs = Array.of_list (reachable d p ~cap:500) in
+            let ids = Array.map intern cfgs in
+            let n = Seq_model.Core.cfg_count core in
+            Alcotest.(check (array int)) "re-interning cfg id gives id" ids
+              (Array.map (fun id -> intern (Seq_model.Core.cfg core id)) ids);
+            let copies = Array.map deep_copy cfgs in
+            Alcotest.(check (array int)) "deep copies get the same ids" ids
+              (Array.map intern copies);
+            Alcotest.(check int) "no new configurations" n
+              (Seq_model.Core.cfg_count core);
+            let hits = 10_000 in
+            let before = Gc.minor_words () in
+            for k = 0 to hits - 1 do
+              ignore (intern copies.(k mod Array.length copies))
+            done;
+            let per_hit = (Gc.minor_words () -. before) /. float hits in
+            if per_hit > 16. then
+              Alcotest.failf "%s: %.1f words per hit (at most 16)" srcp
+                per_hit;
+            let base = cfgs.(0) in
+            let foreign = Loc.make "Q" in
+            let unpackable name cfg =
+              match intern cfg with
+              | _ -> Alcotest.failf "%s: interned" name
+              | exception Packed.Unpackable -> ()
+            in
+            unpackable "foreign permission"
+              { base with perm = Loc.Set.add foreign base.perm };
+            unpackable "foreign written location"
+              { base with written = Loc.Set.add foreign base.written };
+            unpackable "foreign memory binding"
+              { base with mem = Loc.Map.add foreign Value.zero base.mem })
           contract_programs);
   ]
 
