@@ -54,7 +54,8 @@ let prop_3_4 =
       (not (Seq_model.Refine.check d ~src ~tgt))
       || Seq_model.Advanced.check d ~src ~tgt)
 
-(* 3. Differential: enumeration-based Def 2.4 agrees with the game. *)
+(* 3. Differential: Def 2.4 by the set-based reference enumeration agrees
+   with the packed game. *)
 let enum_vs_game =
   QCheck.Test.make ~name:"behavior enumeration agrees with simulation game"
     ~count:15
@@ -68,7 +69,7 @@ let enum_vs_game =
             match
               (* generated programs are loop-free, so executions fit well
                  within the fuel *)
-              Seq_model.Behavior.refines_at d ~fuel:16
+              Seq_ref.Behavior.refines_at d ~fuel:16
                 ~src:p.Seq_model.Refine.src ~tgt:p.Seq_model.Refine.tgt
             with
             | Ok () -> true
