@@ -588,8 +588,11 @@ let determinism_table () =
   let jrows = ref [] in
   let check name src tgt =
     let src = Parser.stmt_of_string src and tgt = Parser.stmt_of_string tgt in
-    let d = Domain.of_stmts ~values [ src; tgt ] in
-    let adv = Seq_model.Advanced.check d ~src ~tgt in
+    let o =
+      Optimizer.Validate.run ~values ~notion:Advanced_only ~fast_path:false
+        ~src ~tgt ()
+    in
+    let adv = snd (Optimizer.Validate.notions o.answer) in
     jrows :=
       J.Obj [ ("name", J.String name); ("accepted", J.Bool adv) ] :: !jrows;
     Fmt.pr "%-44s %s@." name (if adv then "accepted" else "refuted")

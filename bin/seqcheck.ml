@@ -1,8 +1,10 @@
 (** seqcheck — decide SEQ behavioral refinement between two programs.
 
     Usage: seqcheck SRC.wm TGT.wm — checks whether TGT (weakly)
-    behaviorally refines SRC over the finite domain (Def 2.4 / Def 3.3).
-    Exit code 0: refines; 3: does not; 4: undecided (budget ran out).
+    behaviorally refines SRC over the finite domain (Def 2.4 / Def 3.3),
+    through {!Optimizer.Validate.run} with the static tier off: a local
+    check always plays the games.  Exit code 0: refines; 3: does not; 4:
+    undecided (budget ran out, or over 16 non-atomic locations).
 
     [--corpus] instead re-checks the whole built-in transformation corpus
     against its expected verdicts, swept in parallel ([--jobs N],
@@ -172,6 +174,53 @@ let run_corpus jobs spec retries keep_going =
 
 exception Static_mixed
 
+(* SEQ's input checks before a local check; true iff [lint] found
+   error-severity diagnostics.
+
+   Static well-formedness: mixing within a single program is what
+   [Config.check_no_mixing] would reject at run time — catch it up front
+   with sites.  A location whose mode class differs only {e between} SRC
+   and TGT (e.g. an na→rlx strengthening) is legal input: the domain
+   classifies it non-atomic and the refinement check refutes the pair,
+   so it is only worth a note.
+
+   Lint: same rules, same severities, same exit contract as seqlint —
+   error-severity diagnostics force exit 3 even when the refinement
+   holds, so `seqcheck --lint` and `seqlint` never disagree on a program
+   pair (CLI-tested). *)
+let seq_prechecks ~lint src tgt =
+  (match Analysis.Modes.per_thread_conflicts [ src; tgt ] with
+   | [] -> ()
+   | conflicts ->
+     List.iter
+       (fun c ->
+         Fmt.epr "error: %a@." (Analysis.Modes.pp_conflict ~src:[ src; tgt ]) c)
+       conflicts;
+     Fmt.epr "(thread 0 = SRC, thread 1 = TGT; SEQ rejects mixed access)@.";
+     raise Static_mixed);
+  List.iter
+    (fun (c : Analysis.Modes.conflict) ->
+      Fmt.epr
+        "note: %s changes access mode between SRC and TGT (treated as \
+         non-atomic)@."
+        (Loc.name c.Analysis.Modes.cloc))
+    (Analysis.Modes.combined_conflicts [ src; tgt ]);
+  lint
+  && List.fold_left
+       (fun acc (label, s) ->
+         match Optimizer.Lint.lint [ s ] with
+         | [] ->
+           Fmt.epr "lint (%s): clean@." label;
+           acc
+         | diags ->
+           Fmt.epr "lint (%s):@." label;
+           List.iter
+             (fun d -> Fmt.epr "  %a@." (Optimizer.Lint.pp_diag ~threads:1) d)
+             diags;
+           acc || Optimizer.Lint.has_errors diags)
+       false
+       [ ("src", src); ("tgt", tgt) ]
+
 let run src_path tgt_path values advanced_only corpus jobs timeout_ms
     max_states keep_going retries lint backend server =
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
@@ -224,136 +273,53 @@ let run src_path tgt_path values advanced_only corpus jobs timeout_ms
     | Some src_path, Some tgt_path ->
     let src = Parser.stmt_of_string (read src_path) in
     let tgt = Parser.stmt_of_string (read tgt_path) in
-    if backend <> Service.Proto.default_backend then begin
-      (* a hardware backend: behavior-set inclusion under the named
-         machine (mixed access is tolerated, as by PS_na) *)
-      let (module M : Backends.Backend.MACHINE) =
-        Option.get (Backends.Registry.find backend)
-      in
-      let values = List.map (fun n -> Value.Int n) values in
-      let budget = Engine.Budget.start spec in
-      match
-        let r_src = M.explore ~values ~budget [ src ] in
-        let r_tgt = M.explore ~values ~budget [ tgt ] in
-        (r_src, r_tgt)
-      with
-      | exception Engine.Budget.Exhausted r ->
-        Fmt.pr "UNKNOWN(%s)@." (Engine.Budget.reason_to_string r);
-        if keep_going then 0 else 4
-      | r_src, r_tgt ->
-        if
-          r_src.Backends.Backend.truncated
-          || r_tgt.Backends.Backend.truncated
-        then begin
-          Fmt.pr "UNKNOWN(%s: truncated)@." M.name;
-          if keep_going then 0 else 4
-        end
-        else if Backends.Backend.refines ~src:r_src ~tgt:r_tgt then begin
-          Fmt.pr "REFINES (behavior inclusion under %s)@." M.name;
-          0
-        end
-        else begin
-          Fmt.pr "DOES NOT REFINE (under %s)@." M.name;
-          3
-        end
-    end
-    else begin
-    (* static well-formedness pre-check: mixing within a single program
-       is what [Config.check_no_mixing] would reject at run time — catch
-       it up front with sites.  A location whose mode class differs only
-       {e between} SRC and TGT (e.g. an na→rlx strengthening) is legal
-       input: the domain classifies it non-atomic and the refinement
-       check refutes the pair, so it is only worth a note. *)
-    (match Analysis.Modes.per_thread_conflicts [ src; tgt ] with
-     | [] -> ()
-     | conflicts ->
-       List.iter
-         (fun c ->
-           Fmt.epr "error: %a@."
-             (Analysis.Modes.pp_conflict ~src:[ src; tgt ])
-             c)
-         conflicts;
-       Fmt.epr "(thread 0 = SRC, thread 1 = TGT; SEQ rejects mixed access)@.";
-       raise Static_mixed);
-    (match Analysis.Modes.combined_conflicts [ src; tgt ] with
-     | [] -> ()
-     | conflicts ->
-       List.iter
-         (fun (c : Analysis.Modes.conflict) ->
-           Fmt.epr
-             "note: %s changes access mode between SRC and TGT (treated \
-              as non-atomic)@."
-             (Loc.name c.Analysis.Modes.cloc))
-         conflicts);
-    let lint_errors =
-      (* Same rules, same severities, same exit contract as seqlint:
-         error-severity diagnostics force exit 3 even when the
-         refinement holds, so `seqcheck --lint` and `seqlint` never
-         disagree on a program pair (CLI-tested). *)
-      lint
-      && List.fold_left
-           (fun acc (label, s) ->
-             match Optimizer.Lint.lint [ s ] with
-             | [] ->
-               Fmt.epr "lint (%s): clean@." label;
-               acc
-             | diags ->
-               Fmt.epr "lint (%s):@." label;
-               List.iter
-                 (fun d ->
-                   Fmt.epr "  %a@." (Optimizer.Lint.pp_diag ~threads:1) d)
-                 diags;
-               acc || Optimizer.Lint.has_errors diags)
-           false
-           [ ("src", src); ("tgt", tgt) ]
+    (* any other backend means behavior-set inclusion under the named
+       machine, with mixed access tolerated (as by PS_na) *)
+    let seq = backend = Service.Proto.default_backend in
+    let lint_errors = seq && seq_prechecks ~lint src tgt in
+    let values = List.map (fun n -> Value.Int n) values in
+    let d = Domain.of_stmts ~values [ src; tgt ] in
+    if seq then Fmt.epr "domain: %a@." Domain.pp d;
+    let undecided reason =
+      Fmt.pr "UNKNOWN(%s)@." reason;
+      if keep_going then 0 else 4
     in
-    let with_lint code =
-      if code = 0 && lint_errors then begin
+    (* local mode enumerates ([fast_path:false]): a static certificate
+       must not overrule the games on a pair they refute *)
+    match
+      Optimizer.Validate.run ~values ~backend
+        ~notion:(if advanced_only then Advanced_only else Both)
+        ~fast_path:false ~budget:(Engine.Budget.start spec) ~src ~tgt ()
+    with
+    | exception Engine.Budget.Exhausted r ->
+      undecided (Engine.Budget.reason_to_string r)
+    | { answer = Undecided reason; _ } -> undecided reason
+    | { answer = (Refines_simple | Refines_advanced) as a; _ } ->
+      Fmt.pr "REFINES (%s)@."
+        (if not seq then "behavior inclusion under " ^ backend
+         else if a = Refines_simple then "simple notion, Def 2.4"
+         else "advanced notion, Def 3.3");
+      if lint_errors then begin
         Fmt.pr "(lint errors: exit 3, matching seqlint)@.";
         3
       end
-      else code
-    in
-    let values = List.map (fun n -> Value.Int n) values in
-    let d = Domain.of_stmts ~values [ src; tgt ] in
-    Fmt.epr "domain: %a@." Domain.pp d;
-    let budget = Engine.Budget.start spec in
-    (match
-       let simple =
-         if advanced_only then false
-         else Seq_model.Refine.check ~budget d ~src ~tgt
-       in
-       if simple then `Simple
-       else if Seq_model.Advanced.check ~budget d ~src ~tgt then `Advanced
-       else `Refuted
-     with
-     | `Simple ->
-       Fmt.pr "REFINES (simple notion, Def 2.4)@.";
-       with_lint 0
-     | `Advanced ->
-       Fmt.pr "REFINES (advanced notion, Def 3.3)@.";
-       with_lint 0
-     | `Refuted ->
-       Fmt.pr "DOES NOT REFINE@.";
-       let roots =
-         Seq_model.Refine.initial_pairs d ~src:(Prog.init src)
-           ~tgt:(Prog.init tgt)
-       in
-       (match Seq_model.Refine.find_counterexample d roots with
-        | Some cex -> Fmt.pr "%a@." Seq_model.Refine.pp_counterexample cex
-        | None ->
-          Fmt.pr
-            "(no simple-notion counterexample: the failure is specific to the            advanced notion)@.");
-       3
-     | exception Engine.Budget.Exhausted r ->
-       Fmt.pr "UNKNOWN(%s)@." (Engine.Budget.reason_to_string r);
-       if keep_going then 0 else 4
-     | exception Packed.Unpackable ->
-       (* a domain beyond the packed core's reach is undecided, like a
-          budget exhaustion *)
-       Fmt.pr "UNKNOWN(over %d non-atomic locations)@." Packed.max_locs;
-       if keep_going then 0 else 4)
-    end
+      else 0
+    | { answer = Refuted; _ } when not seq ->
+      Fmt.pr "DOES NOT REFINE (under %s)@." backend;
+      3
+    | { answer = Refuted; _ } ->
+      Fmt.pr "DOES NOT REFINE@.";
+      let roots =
+        Seq_model.Refine.initial_pairs d ~src:(Prog.init src)
+          ~tgt:(Prog.init tgt)
+      in
+      (match Seq_model.Refine.find_counterexample d roots with
+       | Some cex -> Fmt.pr "%a@." Seq_model.Refine.pp_counterexample cex
+       | None ->
+         Fmt.pr
+           "(no simple-notion counterexample: the failure is specific to \
+            the advanced notion)@.");
+      3
   with
   | Parser.Error msg ->
     Fmt.epr "parse error: %s@." msg;
@@ -413,7 +379,8 @@ let retries =
 
 let lint =
   Arg.(value & flag & info [ "lint" ]
-         ~doc:"Print static race/UB diagnostics for both programs before                checking (see seqlint).")
+         ~doc:"Print static race/UB diagnostics for both programs before \
+               checking (see seqlint).")
 
 let backend =
   Arg.(value & opt string "seq" & info [ "backend" ] ~docv:"NAME"

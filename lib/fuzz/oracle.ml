@@ -42,24 +42,21 @@ let of_string s =
      | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Advanced-only refinement, the workhorse of pass checking: a static
-   certificate when the pipeline replay reaches [tgt] or the abstract
-   certifier bridges the gap, the Fig 6 enumeration otherwise.
-   ({!Optimizer.Validate.validate} also decides the simple Def 2.4
-   notion by enumeration, which fuzzing throughput cannot afford;
-   soundness of a pass is the advanced notion.)  Routing fuzz traffic
-   through both certifiers is deliberate: an unsound certificate would
-   stop the campaign from refuting a planted bug, which the fixed-seed
-   smoke test would flag. *)
+(* Advanced-only refinement, the workhorse of pass checking, through the
+   one check entry point: a static certificate when the pipeline replay
+   reaches [tgt] or the abstract certifier bridges the gap, the Fig 6
+   game otherwise.  The simple Def 2.4 notion is skipped: fuzzing
+   throughput cannot afford it, and soundness of a pass is the advanced
+   notion.  Routing fuzz traffic through both certifiers is deliberate:
+   an unsound certificate would stop the campaign from refuting a
+   planted bug, which the fixed-seed smoke test would flag.  An
+   undecided pair raises [Failure], which the campaign's supervised
+   sweep counts as Unknown. *)
 let refines ~budget ~(src : Stmt.t) ~(tgt : Stmt.t) : bool =
-  match Optimizer.Certify.attempt ~src ~tgt () with
-  | Some _ -> true
-  | None -> (
-    match Optimizer.Certabs.attempt ~src ~tgt () with
-    | Some _ -> true
-    | None ->
-      let d = Domain.of_stmts [ src; tgt ] in
-      Seq_model.Advanced.check ~budget d ~src ~tgt)
+  snd
+    (Optimizer.Validate.notions
+       (Optimizer.Validate.run ~notion:Advanced_only ~budget ~src ~tgt ())
+         .answer)
 
 let check_pass_correct ~budget (p : Stmt.t) : string option =
   let rec go = function

@@ -41,8 +41,10 @@ val name : kind -> string
 
 val of_string : string -> kind option
 
-(** Advanced-only refinement check (static certificate fast path, then
-    Fig 6 enumeration) — also used to refute {!Planted} variants. *)
+(** Advanced-only refinement check, {!Optimizer.Validate.run} with
+    [Advanced_only] (static certificates, then the Fig 6 game) — also
+    used to refute {!Planted} variants.  @raise Failure on an undecided
+    pair. *)
 val refines : budget:Engine.Budget.t -> src:Stmt.t -> tgt:Stmt.t -> bool
 
 (** One program prepared for the oracles.  It holds the program's SC

@@ -36,14 +36,11 @@ let check_transformation ?(params = Promising.Thread.default_params)
   let memo = match memo with Some m -> m | None -> M.make_memo () in
   let src = Parser.stmt_of_string tr.Catalog.src in
   let tgt = Parser.stmt_of_string tr.Catalog.tgt in
-  let d = Domain.of_stmts ~values:params.Promising.Thread.values [ src; tgt ] in
-  let seq_simple, simple_pairs =
-    Seq_model.Refine.check_count ?budget d ~src ~tgt
+  let seq =
+    Optimizer.Validate.run ~values:params.Promising.Thread.values
+      ~fast_path:false ?budget ~src ~tgt ()
   in
-  let seq_advanced, advanced_pairs =
-    if seq_simple then (true, 0) (* Prop 3.4 *)
-    else Seq_model.Advanced.check_count ?budget d ~src ~tgt
-  in
+  let seq_simple, seq_advanced = Optimizer.Validate.notions seq.answer in
   let states = ref 0 in
   let memo_hits = ref 0 in
   let contexts =
@@ -72,7 +69,7 @@ let check_transformation ?(params = Promising.Thread.default_params)
     tr;
     seq_simple;
     seq_advanced;
-    seq_pairs = simple_pairs + advanced_pairs;
+    seq_pairs = seq.pairs;
     contexts;
     states = !states;
     memo_hits = !memo_hits;

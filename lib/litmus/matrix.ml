@@ -25,25 +25,21 @@ let e12_ok (r : e12_row) =
 
 let verdict b = if b then Catalog.Sound else Catalog.Unsound
 
-let e12_row ?(values = Domain.default_values) ?budget
-    (tr : Catalog.transformation) : e12_row =
+(* An undecided row raises [Failure]; the supervised sweep reports it. *)
+let e12_row ?values ?budget (tr : Catalog.transformation) : e12_row =
   let row, ms =
     Engine.Stats.timed (fun () ->
         let src = Parser.stmt_of_string tr.Catalog.src in
         let tgt = Parser.stmt_of_string tr.Catalog.tgt in
-        let d = Domain.of_stmts ~values [ src; tgt ] in
-        let simple, simple_pairs =
-          Seq_model.Refine.check_count ?budget d ~src ~tgt
+        let o =
+          Optimizer.Validate.run ?values ~fast_path:false ?budget ~src ~tgt ()
         in
-        let advanced, advanced_pairs =
-          if simple then (true, 0)
-          else Seq_model.Advanced.check_count ?budget d ~src ~tgt
-        in
+        let simple, advanced = Optimizer.Validate.notions o.answer in
         {
           tr;
           simple_got = verdict simple;
           advanced_got = verdict advanced;
-          pairs = simple_pairs + advanced_pairs;
+          pairs = o.pairs;
           wall_ms = 0.;
         })
   in

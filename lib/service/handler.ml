@@ -41,19 +41,33 @@ let values_of = function
   | [] -> Domain.default_values
   | vs -> List.map (fun n -> Value.Int n) vs
 
-let of_validate (v : Optimizer.Validate.verdict) =
-  let verdict : Proto.verdict =
-    if not v.Optimizer.Validate.valid then Proto.Refuted
-    else if v.Optimizer.Validate.simple then Proto.Refines_simple
-    else Proto.Refines_advanced
+let of_outcome (o : Optimizer.Validate.outcome) : Proto.verdict * Proto.origin option =
+  let definite v = (v, Some (Optimizer.Validate.provenance o.proof)) in
+  match o.answer with
+  | Refines_simple -> definite Proto.Refines_simple
+  | Refines_advanced -> definite Proto.Refines_advanced
+  | Refuted -> definite Proto.Refuted
+  | Undecided reason -> (Proto.Unknown reason, None)
+
+(* A computed check result: [check] runs under a fresh budget from the
+   request's, and a definite answer counts its proof route
+   ("origin.static", "origin.static_abs", "origin.enumerated"). *)
+let computed t (b : Proto.budget) check : Proto.check_result =
+  let budget = Engine.Budget.start (spec_of t b) in
+  let verdict, origin =
+    match Engine.Verdict.capture (fun () -> check ~budget) with
+    | Ok o -> of_outcome o
+    | Error reason ->
+      (Proto.Unknown (Engine.Verdict.reason_to_string reason), None)
   in
-  let origin : Proto.origin =
-    match v.Optimizer.Validate.proof with
-    | Optimizer.Validate.Static _ -> Proto.Static
-    | Optimizer.Validate.Static_abs _ -> Proto.Static_abs
-    | Optimizer.Validate.Enumerated -> Proto.Enumerated
-  in
-  (verdict, origin)
+  let metric o = String.map (function '-' -> '_' | c -> c) o in
+  Option.iter
+    (fun o ->
+      Engine.Metrics.incr t.metrics
+        ("origin." ^ metric (Proto.origin_to_string o)))
+    origin;
+  { verdict; origin; tier = Proto.Computed;
+    states = Engine.Budget.states_used budget }
 
 let count_verdict t (v : Proto.verdict) =
   Engine.Metrics.incr t.metrics
@@ -114,46 +128,6 @@ let check_key (c : Proto.check) ~(src : Stmt.t) ~(tgt : Stmt.t) ~values =
       "backend:" ^ c.Proto.backend;
     ]
 
-(* A check under a hardware backend: behavior-set inclusion under the
-   named machine (no static certificates — always enumerated).  A
-   truncated exploration leaves the verdict Unknown (not cached). *)
-let check_hw t (module M : Backends.Backend.MACHINE) ~src ~tgt ~values
-    (b : Proto.budget) : Proto.response =
-  let budget = Engine.Budget.start (spec_of t b) in
-  match
-    Engine.Verdict.capture (fun () ->
-        let r_src = M.explore ~values ~budget [ src ] in
-        let r_tgt = M.explore ~values ~budget [ tgt ] in
-        if r_src.Backends.Backend.truncated || r_tgt.Backends.Backend.truncated
-        then None
-        else Some (Backends.Backend.refines ~src:r_src ~tgt:r_tgt))
-  with
-  | Ok (Some refines) ->
-    Engine.Metrics.incr t.metrics "origin.enumerated";
-    Proto.Checked
-      {
-        verdict = (if refines then Proto.Refines_simple else Proto.Refuted);
-        origin = Some Proto.Enumerated;
-        tier = Proto.Computed;
-        states = Engine.Budget.states_used budget;
-      }
-  | Ok None ->
-    Proto.Checked
-      {
-        verdict = Proto.Unknown (Printf.sprintf "%s: truncated" M.name);
-        origin = None;
-        tier = Proto.Computed;
-        states = Engine.Budget.states_used budget;
-      }
-  | Error reason ->
-    Proto.Checked
-      {
-        verdict = Proto.Unknown (Engine.Verdict.reason_to_string reason);
-        origin = None;
-        tier = Proto.Computed;
-        states = Engine.Budget.states_used budget;
-      }
-
 let serve_check t (c : Proto.check) (b : Proto.budget) : Proto.check_result =
   match
     ( Parser.stmt_of_string c.Proto.src,
@@ -181,50 +155,10 @@ let serve_check t (c : Proto.check) (b : Proto.budget) : Proto.check_result =
           | Proto.Checked _ -> true
           | _ -> false)
         (fun () ->
-          if c.Proto.backend <> Proto.default_backend then
-            match Backends.Registry.find c.Proto.backend with
-            | Some m -> check_hw t m ~src ~tgt ~values b
-            | None ->
-              Proto.Checked
-                {
-                  verdict =
-                    Proto.Unknown
-                      (Printf.sprintf "unknown backend %S" c.Proto.backend);
-                  origin = None;
-                  tier = Proto.Computed;
-                  states = 0;
-                }
-          else
-          let budget = Engine.Budget.start (spec_of t b) in
-          match
-            Engine.Verdict.capture (fun () ->
-                Optimizer.Validate.validate ~values
-                  ~fast_path:c.Proto.fast_path ~budget ~src ~tgt ())
-          with
-          | Ok v ->
-            let verdict, origin = of_validate v in
-            (match origin with
-             | Proto.Static -> Engine.Metrics.incr t.metrics "origin.static"
-             | Proto.Static_abs ->
-               Engine.Metrics.incr t.metrics "origin.static_abs"
-             | Proto.Enumerated ->
-               Engine.Metrics.incr t.metrics "origin.enumerated");
-            Proto.Checked
-              {
-                verdict;
-                origin = Some origin;
-                tier = Proto.Computed;
-                states = Engine.Budget.states_used budget;
-              }
-          | Error reason ->
-            Proto.Checked
-              {
-                verdict =
-                  Proto.Unknown (Engine.Verdict.reason_to_string reason);
-                origin = None;
-                tier = Proto.Computed;
-                states = Engine.Budget.states_used budget;
-              })
+          Proto.Checked
+            (computed t b (fun ~budget ->
+                 Optimizer.Validate.run ~values ~backend:c.Proto.backend
+                   ~fast_path:c.Proto.fast_path ~budget ~src ~tgt ())))
     in
     (match resp with
      | Proto.Checked cr ->
@@ -299,50 +233,28 @@ let serve_optimize t ~prog ~values ~fast_path (b : Proto.budget) :
         | Proto.Optimized _ -> true
         | _ -> false)
       (fun () ->
-        let budget = Engine.Budget.start (spec_of t b) in
-        match
-          Engine.Verdict.capture (fun () ->
-              Optimizer.Validate.certified_optimize ~values ~fast_path ~budget
-                input)
-        with
-        | Ok (report, v) ->
-          let verdict, origin = of_validate v in
-          (match origin with
-           | Proto.Static -> Engine.Metrics.incr t.metrics "origin.static"
-           | Proto.Static_abs ->
-             Engine.Metrics.incr t.metrics "origin.static_abs"
-           | Proto.Enumerated ->
-             Engine.Metrics.incr t.metrics "origin.enumerated");
+        let report = Optimizer.Driver.optimize input in
+        let result =
+          computed t b (fun ~budget ->
+              Optimizer.Validate.run ~values ~fast_path ~budget
+                ~src:report.Optimizer.Driver.input
+                ~tgt:report.Optimizer.Driver.output ())
+        in
+        match result.Proto.verdict with
+        | Proto.Unknown _ ->
+          (* an undecided validation hands back the input unchanged *)
+          Proto.Optimized { output = prog; result; passes = [] }
+        | _ ->
           Proto.Optimized
             {
               output = Stmt.to_string report.Optimizer.Driver.output;
-              result =
-                {
-                  verdict;
-                  origin = Some origin;
-                  tier = Proto.Computed;
-                  states = Engine.Budget.states_used budget;
-                };
+              result;
               passes =
                 List.map
                   (fun (p : Optimizer.Driver.pass_report) ->
                     ( Optimizer.Driver.pass_name p.Optimizer.Driver.pass,
                       p.Optimizer.Driver.rewrites ))
                   report.Optimizer.Driver.passes;
-            }
-        | Error reason ->
-          Proto.Optimized
-            {
-              output = prog;
-              result =
-                {
-                  verdict =
-                    Proto.Unknown (Engine.Verdict.reason_to_string reason);
-                  origin = None;
-                  tier = Proto.Computed;
-                  states = Engine.Budget.states_used budget;
-                };
-              passes = [];
             })
 
 (* ------------------------------------------------------------------ *)

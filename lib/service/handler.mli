@@ -44,7 +44,8 @@ val handle : ?pool:Engine.Pool.t -> t -> Proto.request -> Proto.response
 (** Metrics + cache counters, the payload of the [stats] RPC. *)
 val stats_snapshot : t -> string
 
-(** Translate a local {!Optimizer.Validate.verdict} into the wire
-    verdict/origin (exposed so tests can assert the server's answer is
-    byte-identical to a local run's). *)
-val of_validate : Optimizer.Validate.verdict -> Proto.verdict * Proto.origin
+(** Translate a local {!Optimizer.Validate.run} outcome into the wire
+    verdict and origin ([None] iff [Unknown]); exposed so tests can
+    assert the server's answer is identical to a local run's. *)
+val of_outcome :
+  Optimizer.Validate.outcome -> Proto.verdict * Proto.origin option

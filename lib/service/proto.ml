@@ -121,7 +121,7 @@ type check = {
   backend : string;
 }
 
-let default_backend = "seq"
+let default_backend = Optimizer.Validate.seq_backend
 
 type litmus_params = { promises : int; batch : int; lit_max_states : int }
 
@@ -145,12 +145,9 @@ let tier_to_string = function
   | Mem -> "mem"
   | Disk -> "disk"
 
-type origin = Static | Static_abs | Enumerated
+type origin = Engine.Verdict.provenance = Static | Static_abs | Enumerated
 
-let origin_to_string = function
-  | Static -> "static"
-  | Static_abs -> "static-abs"
-  | Enumerated -> "enumerated"
+let origin_to_string = Engine.Verdict.provenance_to_string
 
 type verdict =
   | Refines_simple

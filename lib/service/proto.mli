@@ -52,7 +52,8 @@ type check = {
   backend : string;
 }
 
-(** ["seq"], the classic sequential-refinement check. *)
+(** ["seq"] ({!Optimizer.Validate.seq_backend}), the classic
+    sequential-refinement check. *)
 val default_backend : string
 
 type litmus_params = { promises : int; batch : int; lit_max_states : int }
@@ -75,11 +76,11 @@ type tier = Computed | Mem | Disk
 
 val tier_to_string : tier -> string
 
-(** How a definite verdict was originally established (mirrors
-    {!Engine.Verdict.provenance}); preserved across cache tiers.
-    [Static_abs] is the abstract-interpretation certifier — wire tag 2,
-    introduced with protocol version 2. *)
-type origin = Static | Static_abs | Enumerated
+(** How a definite verdict was originally established: the engine's
+    provenance, preserved across cache tiers.  The wire tags are Static
+    0, Enumerated 1 and Static_abs 2 (the abstract-interpretation
+    certifier, introduced with protocol version 2). *)
+type origin = Engine.Verdict.provenance = Static | Static_abs | Enumerated
 
 val origin_to_string : origin -> string
 

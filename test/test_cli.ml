@@ -150,6 +150,33 @@ let test_seqcheck_unpackable () =
     "undecided" "UNKNOWN(over 16 non-atomic locations)"
     (String.trim out)
 
+(* The forwarding-into-freeze pair (a load forwarded across a release
+   write into [freeze]): the static certificates prove it, the Fig 6
+   game refutes it.  Local seqcheck enumerates, so it prints DOES NOT
+   REFINE and exits 3; a static route in local mode would turn this
+   into REFINES. *)
+let test_seqcheck_enumerates_locally () =
+  let write text =
+    let f = Filename.temp_file "freeze" ".wm" in
+    Out_channel.with_open_text f (fun oc -> output_string oc (text ^ "\n"));
+    f
+  in
+  let src =
+    write
+      "a = 1; W.store(na, a); Y.store(rel, 0); b = W.load(na); a = \
+       freeze(b); return a"
+  and tgt =
+    write
+      "a = 1; W.store(na, a); Y.store(rel, 0); b = a; a = freeze(b); \
+       return a"
+  in
+  let code, out = run_output (Fmt.str "%s %s %s" (exe "seqcheck") src tgt) in
+  Sys.remove src;
+  Sys.remove tgt;
+  Alcotest.(check int) "exit 3" 3 code;
+  Alcotest.(check string) "verdict" "DOES NOT REFINE"
+    (List.hd (String.split_on_char '\n' out))
+
 let suite =
   [
     Alcotest.test_case "seqlint exit codes" `Quick test_seqlint_exit_codes;
@@ -165,4 +192,6 @@ let suite =
       `Quick test_seqcheck_counterexample;
     Alcotest.test_case "seqcheck answers UNKNOWN beyond 16 locations" `Quick
       test_seqcheck_unpackable;
+    Alcotest.test_case "seqcheck refutes the freeze pair by enumeration"
+      `Quick test_seqcheck_enumerates_locally;
   ]

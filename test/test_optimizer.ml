@@ -175,4 +175,32 @@ let extension_suite =
     check_valid "full extended pipeline on Fig 4" fig4_src;
   ]
 
-let suite = suite @ extension_suite
+(* The one check entry point answers every catalog pair the same with
+   and without the static tier, and that answer is the catalog's
+   expected (simple, advanced) pair. *)
+let test_run_routes_agree () =
+  List.iter
+    (fun (tr : Litmus.Catalog.transformation) ->
+      let src = parse tr.Litmus.Catalog.src
+      and tgt = parse tr.Litmus.Catalog.tgt in
+      let answer fast_path =
+        (Optimizer.Validate.run ~fast_path ~src ~tgt ()).Optimizer.Validate.answer
+      in
+      let fast = answer true and enumerated = answer false in
+      Alcotest.(check bool)
+        (tr.Litmus.Catalog.name ^ ": fast path == enumeration")
+        true (fast = enumerated);
+      let simple, advanced = Optimizer.Validate.notions enumerated in
+      let expected v = v = Litmus.Catalog.Sound in
+      Alcotest.(check (pair bool bool))
+        (tr.Litmus.Catalog.name ^ ": catalog verdicts")
+        (expected tr.Litmus.Catalog.simple, expected tr.Litmus.Catalog.advanced)
+        (simple, advanced))
+    Litmus.Catalog.transformations
+
+let suite =
+  suite @ extension_suite
+  @ [
+      Alcotest.test_case "Validate.run: fast path == enumeration on the catalog"
+        `Quick test_run_routes_agree;
+    ]
