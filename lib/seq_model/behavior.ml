@@ -76,6 +76,131 @@ let le (d : Domain.t) ((trtgt, rtgt) : t) ((trsrc, rsrc) : t) : bool =
      | Prt ftgt -> Event.trace_le trtgt trsrc && Loc.Set.subset ftgt fsrc
      | Trm _ | Bot -> false)
 
+(* A behavior set as a trie over events: [ends] are the results of the
+   behaviors whose trace ends at this node, [next] the events that
+   continue some trace, each with the (non-empty) set of behaviors after
+   it.  Both lists are sorted ([compare_result], [Event.compare]), so a
+   set has exactly one trie.  Nodes are hash-consed per table: a node is
+   keyed by its results' and events' interned ids and its children's
+   node ids, so within a table equal sets are the same node and [union]
+   memoizes on node pairs.  Node ids are unique across tables, which
+   lets [equal] memoize a comparison of tries from different tables. *)
+module Trie = struct
+  type t = { id : int; ends : result list; next : (Event.t * t) list }
+
+  module Result_map = Map.Make (struct
+    type t = result
+
+    let compare = compare_result
+  end)
+
+  module Event_map = Map.Make (Event)
+
+  type table = {
+    mutable results : int Result_map.t;
+    mutable events : int Event_map.t;
+    nodes : (int list * (int * int) list, t) Hashtbl.t;
+    unions : (int * int, t) Hashtbl.t;
+  }
+
+  let fresh = Atomic.make 0
+
+  let table () =
+    {
+      results = Result_map.empty;
+      events = Event_map.empty;
+      nodes = Hashtbl.create 64;
+      unions = Hashtbl.create 64;
+    }
+
+  let result_id tb r =
+    match Result_map.find_opt r tb.results with
+    | Some i -> i
+    | None ->
+      let i = Result_map.cardinal tb.results in
+      tb.results <- Result_map.add r i tb.results;
+      i
+
+  let event_id tb e =
+    match Event_map.find_opt e tb.events with
+    | Some i -> i
+    | None ->
+      let i = Event_map.cardinal tb.events in
+      tb.events <- Event_map.add e i tb.events;
+      i
+
+  let node tb ends next =
+    let key =
+      ( List.map (result_id tb) ends,
+        List.map (fun (e, n) -> (event_id tb e, n.id)) next )
+    in
+    match Hashtbl.find_opt tb.nodes key with
+    | Some n -> n
+    | None ->
+      let n = { id = Atomic.fetch_and_add fresh 1; ends; next } in
+      Hashtbl.add tb.nodes key n;
+      n
+
+  let leaf tb r = node tb [ r ] []
+  let prefix tb evs n = List.fold_right (fun e n -> node tb [] [ (e, n) ]) evs n
+
+  let rec union tb a b =
+    if a == b then a
+    else
+      let key = if a.id < b.id then (a.id, b.id) else (b.id, a.id) in
+      match Hashtbl.find_opt tb.unions key with
+      | Some n -> n
+      | None ->
+        let rec ends xs ys =
+          match (xs, ys) with
+          | [], l | l, [] -> l
+          | x :: xs', y :: ys' ->
+            let c = compare_result x y in
+            if c < 0 then x :: ends xs' ys
+            else if c > 0 then y :: ends xs ys'
+            else x :: ends xs' ys'
+        in
+        let rec next xs ys =
+          match (xs, ys) with
+          | [], l | l, [] -> l
+          | ((e1, n1) as x) :: xs', ((e2, n2) as y) :: ys' ->
+            let c = Event.compare e1 e2 in
+            if c < 0 then x :: next xs' ys
+            else if c > 0 then y :: next xs ys'
+            else (e1, union tb n1 n2) :: next xs' ys'
+        in
+        let n = node tb (ends a.ends b.ends) (next a.next b.next) in
+        Hashtbl.add tb.unions key n;
+        n
+
+  let equal a b =
+    let same = Hashtbl.create 64 in
+    let rec eq a b =
+      a == b
+      || Hashtbl.mem same (a.id, b.id)
+      || List.equal (fun r1 r2 -> compare_result r1 r2 = 0) a.ends b.ends
+         && List.equal
+              (fun (e1, n1) (e2, n2) -> Event.compare e1 e2 = 0 && eq n1 n2)
+              a.next b.next
+         && (Hashtbl.add same (a.id, b.id) ();
+             true)
+    in
+    eq a b
+
+  let fold f n acc =
+    let rec go rev_tr n acc =
+      let acc =
+        match n.ends with
+        | [] -> acc
+        | ends ->
+          let tr = List.rev rev_tr in
+          List.fold_left (fun acc r -> f (tr, r) acc) acc ends
+      in
+      List.fold_left (fun acc (e, c) -> go (e :: rev_tr) c acc) acc n.next
+    in
+    go [] n acc
+end
+
 (* The inductive enumeration of Def 2.1 — every configuration
    contributes its ⟨ε, r⟩ behavior, every move prepends its labels to
    the behaviors of its successor at one less fuel — with the recursion
@@ -83,23 +208,61 @@ let le (d : Domain.t) ((trtgt, rtgt) : t) ((trsrc, rsrc) : t) : bool =
    subproblem is a pure function of the configuration's value and the
    remaining fuel, so diamonds in the transition graph — different
    interleavings of environment choices reaching the same state at the
-   same depth — are computed once instead of once per path.  Behaviors
-   themselves are hash-consed to dense ids (a trace is a move applied to
-   a shorter interned trace, a result is a packed triple), so the
-   per-edge prepend folds are integer-set operations instead of deep
-   trace comparisons; the id sets are materialized into one ordinary
-   {!Set.t} at the very end.  [budget] is charged per distinct
-   subproblem plus per behavior propagated along each edge —
-   proportional to the set insertions actually performed, where the
-   unmemoized recursion charges per path but folds over full behavior
-   sets for free; test/test_diffcore.ml locks set equality against that
-   recursion (the test-only [Seq_ref.Behavior]). *)
+   same depth — are computed once instead of once per path.  Each
+   subproblem's set is a hash-consed {!Trie} node, so a set costs the
+   distinct suffixes of its traces, not the traces themselves: the
+   number of behaviors grows exponentially with the fuel on a loop that
+   reads from the environment, its trie only with the subproblems.
+   [budget] is charged one state per distinct subproblem. *)
+let trie ?(budget = Engine.Budget.unlimited) (core : Core.t) ~fuel
+    (cfg : Config.t) : Trie.t =
+  let tb = Trie.table () in
+  let bot = Trie.leaf tb Bot in
+  let leaf id =
+    let c = Core.cfg core id in
+    Trie.leaf tb
+      (match Config.status c with
+       | Config.Term v -> Trm (v, c.Config.written, c.Config.mem)
+       | Config.Running -> Prt c.Config.written)
+  in
+  let memo : (int * int, Trie.t) Hashtbl.t = Hashtbl.create 64 in
+  let rec go fuel id =
+    match Hashtbl.find_opt memo (fuel, id) with
+    | Some n -> n
+    | None ->
+      Engine.Budget.spend_state budget;
+      let acc = ref (leaf id) in
+      if fuel > 0 then begin
+        let labs = Core.moves_labels core id in
+        let nexts = Core.moves_next core id in
+        for k = 0 to Array.length labs - 1 do
+          let subs = if nexts.(k) < 0 then bot else go (fuel - 1) nexts.(k) in
+          acc :=
+            Trie.union tb !acc
+              (Trie.prefix tb (Core.labels core labs.(k)) subs)
+        done
+      end;
+      Hashtbl.replace memo (fuel, id) !acc;
+      !acc
+  in
+  go fuel (Core.intern core cfg)
+
+(* The trie's behaviors, one set insertion (charged to [budget]) each. *)
+let enumerate ?(budget = Engine.Budget.unlimited) (core : Core.t) ~fuel
+    (cfg : Config.t) : Set.t =
+  Trie.fold
+    (fun b acc ->
+      Engine.Budget.spend_state budget;
+      Set.add b acc)
+    (trie ~budget core ~fuel cfg)
+    Set.empty
+
+(* The memoized induction over outcomes interned as ints, for
+   [outcomes].  [leaf id] is the set a configuration contributes at any
+   fuel, [bot] the outcome of a ⊥ move, and [edge evs subs acc] adds
+   [subs], the outcomes after a move labelled [evs], to [acc]. *)
 module Int_set = Stdlib.Set.Make (Int)
 
-(* The memoized induction itself, over behaviors interned as ints.
-   [leaf id] is the set a configuration contributes at any fuel, [bot]
-   the behavior of a ⊥ move, and [edge ~src ~k evs subs acc] adds [subs],
-   the behaviors after move [k] of [src] (labels [evs]), to [acc]. *)
 let memo_fold ~budget (core : Core.t) ~fuel ~leaf ~bot ~edge id : Int_set.t =
   let memo : (int * int, Int_set.t) Hashtbl.t = Hashtbl.create 64 in
   let rec go fuel id =
@@ -119,11 +282,11 @@ let memo_fold ~budget (core : Core.t) ~fuel ~leaf ~bot ~edge id : Int_set.t =
               if nexts.(k) < 0 then Int_set.singleton bot
               else go (fuel - 1) nexts.(k)
             in
-            (* propagating a sub-behavior along an edge is the unit of
+            (* propagating a sub-outcome along an edge is the unit of
                work here (set insertions), so that is what the budget
                charges *)
             Engine.Budget.spend_state ~n:(Int_set.cardinal subs) budget;
-            acc := edge ~src:id ~k (Core.labels core labs.(k)) subs !acc
+            acc := edge (Core.labels core labs.(k)) subs !acc
           done;
           !acc
         end
@@ -133,112 +296,15 @@ let memo_fold ~budget (core : Core.t) ~fuel ~leaf ~bot ~edge id : Int_set.t =
   in
   go fuel id
 
-let enumerate ?(budget = Engine.Budget.unlimited) (core : Core.t) ~fuel
-    (cfg : Config.t) : Set.t =
-  let pk = Core.packed core in
-  (* results: (kind, written mask, mem id, value id) -> dense id *)
-  let result_ids : (int * int * int * int, int) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let result_rev : (int, result) Hashtbl.t = Hashtbl.create 64 in
-  let result_of key r =
-    match Hashtbl.find_opt result_ids key with
-    | Some rid -> rid
-    | None ->
-      let rid = Hashtbl.length result_ids in
-      Hashtbl.add result_ids key rid;
-      Hashtbl.add result_rev rid (r ());
-      rid
-  in
-  let rid_bot = result_of (0, 0, 0, 0) (fun () -> Bot) in
-  (* traces: id 0 is the empty trace; every other trace is the label
-     list of move (cfg id, move index) prepended to a shorter trace *)
-  let trace_ids : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let trace_rev : (int, Event.t list * int) Hashtbl.t = Hashtbl.create 64 in
-  let trace_count = ref 1 in
-  let prepend ~src ~k evs tid =
-    let key = (src, k, tid) in
-    match Hashtbl.find_opt trace_ids key with
-    | Some tid' -> tid'
-    | None ->
-      let tid' = !trace_count in
-      incr trace_count;
-      Hashtbl.add trace_ids key tid';
-      Hashtbl.add trace_rev tid' (evs, tid);
-      tid'
-  in
-  (* behaviors: (trace id, result id) -> dense id *)
-  let behavior_ids : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let behavior_rev : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let behavior_of tid rid =
-    let key = (tid, rid) in
-    match Hashtbl.find_opt behavior_ids key with
-    | Some bid -> bid
-    | None ->
-      let bid = Hashtbl.length behavior_ids in
-      Hashtbl.add behavior_ids key bid;
-      Hashtbl.add behavior_rev bid key;
-      bid
-  in
-  let bid_bot = behavior_of 0 rid_bot in
-  let leaf id =
-    let rid =
-      match Core.status core id with
-      | Config.Term v ->
-        result_of
-          (2, Core.written_mask core id, Core.mem_id core id,
-           Packed.value_id pk v)
-          (fun () ->
-            let c = Core.cfg core id in
-            Trm (v, c.Config.written, c.Config.mem))
-      | Config.Running ->
-        result_of
-          (1, Core.written_mask core id, 0, 0)
-          (fun () -> Prt (Core.cfg core id).Config.written)
-    in
-    Int_set.singleton (behavior_of 0 rid)
-  in
-  let edge ~src ~k evs subs acc =
-    if evs = [] then Int_set.union subs acc
-    else
-      Int_set.fold
-        (fun bid acc ->
-          let tid, rid = Hashtbl.find behavior_rev bid in
-          Int_set.add (behavior_of (prepend ~src ~k evs tid) rid) acc)
-        subs acc
-  in
-  let top =
-    memo_fold ~budget core ~fuel ~leaf ~bot:bid_bot ~edge
-      (Core.intern core cfg)
-  in
-  (* materialize: each distinct trace is rebuilt once *)
-  let trace_mat : (int, Event.t list) Hashtbl.t = Hashtbl.create 64 in
-  let rec mat_trace tid =
-    if tid = 0 then []
-    else
-      match Hashtbl.find_opt trace_mat tid with
-      | Some l -> l
-      | None ->
-        let evs, parent = Hashtbl.find trace_rev tid in
-        let l = evs @ mat_trace parent in
-        Hashtbl.add trace_mat tid l;
-        l
-  in
-  Int_set.fold
-    (fun bid acc ->
-      let tid, rid = Hashtbl.find behavior_rev bid in
-      Set.add (mat_trace tid, Hashtbl.find result_rev rid) acc)
-    top Set.empty
 
 (* The same memoized induction, projected onto what an SC comparison
    can observe: the (return value, printed values) of each terminating
    behavior, and whether ⊥ is reachable.  Traces never materialize: a
    printed-value list is interned as a value id consed onto a shorter
    list, an outcome as (value id, list id) with id 0 reserved for ⊥, and
-   an edge prepends only its [Out] labels.  Both run on [memo_fold], so
-   the budget is charged as in [enumerate]: one state per distinct
-   (fuel, configuration) subproblem plus one per outcome propagated
-   along an edge. *)
+   an edge prepends only its [Out] labels.  The budget is charged one
+   state per distinct (fuel, configuration) subproblem plus one per
+   outcome propagated along an edge. *)
 module Outcome_set = Stdlib.Set.Make (struct
   type t = Value.t * Value.t list
 
@@ -270,7 +336,7 @@ let outcomes ~budget (core : Core.t) ~fuel (cfg : Config.t) : outcomes =
     | Config.Term v -> Int_set.singleton (outcome (Packed.value_id pk v) 0)
     | Config.Running -> Int_set.empty
   in
-  let edge ~src:_ ~k:_ evs subs acc =
+  let edge evs subs acc =
     match
       List.filter_map
         (function Event.Out v -> Some (Packed.value_id pk v) | _ -> None)

@@ -32,6 +32,54 @@ let enumerate ?(budget = Engine.Budget.unlimited) (d : Lang.Domain.t) ~fuel
   in
   go fuel cfg Set.empty
 
+(** The same induction built as a {!Trie}, memoized on (fuel,
+    configuration) by the configurations' values: the reference for
+    {!Seq_model.Behavior.trie}, which memoizes on packed ids.  The
+    literal [enumerate] visits every path, so its cost grows
+    exponentially with [fuel] on a loop that reads from the environment;
+    this one is polynomial in the trie.  [budget] is charged one state
+    per distinct subproblem. *)
+module Memo = Map.Make (struct
+  type t = int * Config.t
+
+  let compare (f1, c1) (f2, c2) =
+    let c = Int.compare f1 f2 in
+    if c <> 0 then c else Config.compare c1 c2
+end)
+
+let trie ?(budget = Engine.Budget.unlimited) (d : Lang.Domain.t) ~fuel
+    (cfg : Config.t) : Trie.t =
+  let tb = Trie.table () in
+  let memo = ref Memo.empty in
+  let rec go fuel cfg =
+    match Memo.find_opt (fuel, cfg) !memo with
+    | Some n -> n
+    | None ->
+      Engine.Budget.spend_state budget;
+      let base =
+        Trie.leaf tb
+          (match Config.status cfg with
+           | Config.Term v -> Trm (v, cfg.Config.written, cfg.Config.mem)
+           | Config.Running -> Prt cfg.Config.written)
+      in
+      let n =
+        if fuel = 0 then base
+        else
+          List.fold_left
+            (fun acc (evs, nxt) ->
+              let subs =
+                match nxt with
+                | Moves.Bot -> Trie.leaf tb Bot
+                | Moves.Cont cfg' -> go (fuel - 1) cfg'
+              in
+              Trie.union tb acc (Trie.prefix tb evs subs))
+            base (Moves.moves d cfg)
+      in
+      memo := Memo.add (fuel, cfg) n !memo;
+      n
+  in
+  go fuel cfg
+
 (** Enumeration-based simple refinement (Def 2.4) at one initial
     configuration pair: every target behavior must be ⊑-matched by a
     source behavior; [Error b] returns an unmatched target behavior.  The
