@@ -20,8 +20,9 @@
     [--max-states N] bound every swept task with a cooperative budget,
     [--retries N] retries transient failures, [--inject-faults N] (with
     [--inject-seed S]) drills the supervisor by making N tasks per table
-    raise.  Under any of these the swept tables go through the supervised
-    sweep: failed rows print as UNKNOWN(reason), nothing ever escapes.
+    raise.  The swept tables always go through the supervised sweep:
+    failed rows print as UNKNOWN(reason), nothing ever escapes, and their
+    mismatches and unknowns reach the JSON summary and the exit code.
 
     [--service] appends E10: an in-process seqd (lib/service) is started
     on a temp socket with a fresh on-disk cache, the transformation corpus
@@ -74,18 +75,13 @@ let swept_in jobs ms = Fmt.pr "-- swept in %.1f ms (jobs=%d)@." ms jobs
 
 let values = Domain.default_values
 
-(* Robustness configuration shared by the swept tables; [supervised]
-   switches the E1/E2, E4, E5 sweeps to Sweep.run_verdict. *)
+(* Robustness configuration shared by the swept tables. *)
 type robust = {
   spec : Engine.Budget.spec;
   retries : int;
   inject_faults : int;
   inject_seed : int;
 }
-
-let supervised (r : robust) =
-  (not (Engine.Budget.spec_is_unlimited r.spec))
-  || r.retries > 0 || r.inject_faults > 0
 
 let faults_for (r : robust) ~tasks =
   if r.inject_faults = 0 then Engine.Faults.none
@@ -102,6 +98,20 @@ let count_outcomes ~ok rows =
       | Ok r -> if not (ok r) then incr mismatches
       | Error _ -> incr unknowns)
     rows
+
+(* One swept table: [sweep ~faults] runs the supervised sweep over
+   [tasks] tasks under [robust]'s fault plan; the table is printed with
+   its timing column, its failed rows and the rows that fail [ok] are
+   counted into the run's summary, and its rows are recorded as JSON. *)
+let swept_table ~pool ~robust ~id ~title ~tasks ~sweep ~render ~ok ~name
+    ~jrow =
+  let faults = faults_for robust ~tasks in
+  let rows, ms = Engine.Stats.timed (fun () -> sweep ~faults) in
+  Fmt.pr "%s" (render rows);
+  count_outcomes ~ok rows;
+  add_table ~ms id title
+    (List.map (fun (t, o) -> jrow_outcome ~name:(name t) ~row:jrow o) rows);
+  swept_in (Engine.Pool.size pool) ms
 
 (* ------------------------------------------------------------------ *)
 (* E1/E2: the transformation soundness matrix                           *)
@@ -120,35 +130,15 @@ let transformation_matrix ~pool ~robust () =
       ("pairs", J.Int r.pairs);
       ("ok", J.Bool (Matrix.e12_ok r)) ]
   in
-  let ms =
-    if supervised robust then begin
-      let faults = faults_for robust ~tasks:(List.length C.transformations) in
-      let rows, ms =
-        Engine.Stats.timed (fun () ->
-            Matrix.e12_rows_v ~pool ~budget:robust.spec
-              ~retries:robust.retries ~faults ())
-      in
-      Fmt.pr "%s" (Matrix.render_e12_v ~stats:true rows);
-      count_outcomes ~ok:Matrix.e12_ok rows;
-      add_table ~ms "E1/E2" title
-        (List.map
-           (fun ((t : C.transformation), o) ->
-             jrow_outcome ~name:t.C.name ~row:jrow o)
-           rows);
-      ms
-    end
-    else begin
-      let rows, ms = Engine.Stats.timed (fun () -> Matrix.e12_rows ~pool ()) in
-      Fmt.pr "%s" (Matrix.render_e12 ~stats:true rows);
-      add_table ~ms "E1/E2" title
-        (List.map
-           (fun (r : Matrix.e12_row) ->
-             J.Obj (("name", J.String r.tr.C.name) :: jrow r))
-           rows);
-      ms
-    end
-  in
-  swept_in (Engine.Pool.size pool) ms
+  swept_table ~pool ~robust ~id:"E1/E2" ~title
+    ~tasks:(List.length C.transformations)
+    ~sweep:(fun ~faults ->
+      Matrix.e12_rows ~pool ~budget:robust.spec ~retries:robust.retries
+        ~faults ())
+    ~render:(Matrix.render_e12 ~stats:true)
+    ~ok:Matrix.e12_ok
+    ~name:(fun (t : C.transformation) -> t.C.name)
+    ~jrow
 
 (* ------------------------------------------------------------------ *)
 (* E3: the certified optimizer                                          *)
@@ -270,37 +260,15 @@ let litmus_table ~pool ~robust () =
       ("truncated", J.Bool r.truncated);
       ("behaviors", J.String r.behaviors) ]
   in
-  let ms =
-    if supervised robust then begin
-      let faults =
-        faults_for robust ~tasks:(List.length C.concurrent_programs)
-      in
-      let rows, ms =
-        Engine.Stats.timed (fun () ->
-            Matrix.e4_rows_v ~pool ~budget:robust.spec ~retries:robust.retries
-              ~faults ())
-      in
-      Fmt.pr "%s" (Matrix.render_e4_v ~stats:true rows);
-      count_outcomes ~ok:(fun (_ : Matrix.e4_row) -> true) rows;
-      add_table ~ms "E4" title
-        (List.map
-           (fun ((c : C.concurrent), o) ->
-             jrow_outcome ~name:c.C.cname ~row:jrow o)
-           rows);
-      ms
-    end
-    else begin
-      let rows, ms = Engine.Stats.timed (fun () -> Matrix.e4_rows ~pool ()) in
-      Fmt.pr "%s" (Matrix.render_e4 ~stats:true rows);
-      add_table ~ms "E4" title
-        (List.map
-           (fun (r : Matrix.e4_row) ->
-             J.Obj (("name", J.String r.c.C.cname) :: jrow r))
-           rows);
-      ms
-    end
-  in
-  swept_in (Engine.Pool.size pool) ms
+  swept_table ~pool ~robust ~id:"E4" ~title
+    ~tasks:(List.length C.concurrent_programs)
+    ~sweep:(fun ~faults ->
+      Matrix.e4_rows ~pool ~budget:robust.spec ~retries:robust.retries
+        ~faults ())
+    ~render:(Matrix.render_e4 ~stats:true)
+    ~ok:(fun (_ : Matrix.e4_row) -> true)
+    ~name:(fun (c : C.concurrent) -> c.C.cname)
+    ~jrow
 
 (* ------------------------------------------------------------------ *)
 (* E15: the N-model differential backend grid                           *)
@@ -320,38 +288,15 @@ let backend_grid_table ~pool ~robust () =
       ("truncated", J.Bool r.truncated);
       ("ok", J.Bool (Matrix.e15_ok r)) ]
   in
-  let ms =
-    if supervised robust then begin
-      let faults = faults_for robust ~tasks:(List.length C.grid_programs) in
-      let rows, ms =
-        Engine.Stats.timed (fun () ->
-            Matrix.e15_rows_v ~pool ~budget:robust.spec
-              ~retries:robust.retries ~faults ())
-      in
-      Fmt.pr "%s" (Matrix.render_e15_v ~stats:true rows);
-      count_outcomes ~ok:Matrix.e15_ok rows;
-      add_table ~ms "E15" title
-        (List.map
-           (fun ((ge : C.grid_entry), o) ->
-             jrow_outcome ~name:ge.C.g.C.cname ~row:jrow o)
-           rows);
-      ms
-    end
-    else begin
-      let rows, ms = Engine.Stats.timed (fun () -> Matrix.e15_rows ~pool ()) in
-      Fmt.pr "%s" (Matrix.render_e15 ~stats:true rows);
-      List.iter
-        (fun r -> if not (Matrix.e15_ok r) then incr mismatches)
-        rows;
-      add_table ~ms "E15" title
-        (List.map
-           (fun (r : Matrix.e15_row) ->
-             J.Obj (("name", J.String r.ge.C.g.C.cname) :: jrow r))
-           rows);
-      ms
-    end
-  in
-  swept_in (Engine.Pool.size pool) ms;
+  swept_table ~pool ~robust ~id:"E15" ~title
+    ~tasks:(List.length C.grid_programs)
+    ~sweep:(fun ~faults ->
+      Matrix.e15_rows ~pool ~budget:robust.spec ~retries:robust.retries
+        ~faults ())
+    ~render:(Matrix.render_e15 ~stats:true)
+    ~ok:Matrix.e15_ok
+    ~name:(fun (ge : C.grid_entry) -> ge.C.g.C.cname)
+    ~jrow;
   (* the pass-soundness half: SEQ-validated passes re-checked as
      behavior-set refinement per backend (catchfire included — the one
      model that refutes load introduction, E6) *)
@@ -366,37 +311,14 @@ let backend_grid_table ~pool ~robust () =
         J.Obj (List.map (fun (m, refines) -> (m, J.Bool refines)) r.cells) );
       ("truncated", J.Bool r.truncated) ]
   in
-  let pms =
-    if supervised robust then begin
-      let faults = faults_for robust ~tasks:(List.length C.grid_passes) in
-      let rows, ms =
-        Engine.Stats.timed (fun () ->
-            Matrix.e15p_rows_v ~pool ~budget:robust.spec
-              ~retries:robust.retries ~faults ())
-      in
-      Fmt.pr "%s" (Matrix.render_e15p_v ~stats:true rows);
-      count_outcomes ~ok:(fun (_ : Matrix.e15p_row) -> true) rows;
-      add_table ~ms "E15-passes" ptitle
-        (List.map
-           (fun ((tr_name, _), o) ->
-             jrow_outcome ~name:tr_name ~row:pjrow o)
-           rows);
-      ms
-    end
-    else begin
-      let rows, ms =
-        Engine.Stats.timed (fun () -> Matrix.e15p_rows ~pool ())
-      in
-      Fmt.pr "%s" (Matrix.render_e15p ~stats:true rows);
-      add_table ~ms "E15-passes" ptitle
-        (List.map
-           (fun (r : Matrix.e15p_row) ->
-             J.Obj (("name", J.String r.tr.C.name) :: pjrow r))
-           rows);
-      ms
-    end
-  in
-  swept_in (Engine.Pool.size pool) pms
+  swept_table ~pool ~robust ~id:"E15-passes" ~title:ptitle
+    ~tasks:(List.length C.grid_passes)
+    ~sweep:(fun ~faults ->
+      Matrix.e15p_rows ~pool ~budget:robust.spec ~retries:robust.retries
+        ~faults ())
+    ~render:(Matrix.render_e15p ~stats:true)
+    ~ok:(fun (_ : Matrix.e15p_row) -> true)
+    ~name:fst ~jrow:pjrow
 
 (* ------------------------------------------------------------------ *)
 (* E5: adequacy                                                         *)
@@ -431,38 +353,14 @@ let adequacy_table ~pool ~full ~robust () =
   let contexts =
     if full then C.contexts else List.filteri (fun i _ -> i < 4) C.contexts
   in
-  let ms =
-    if supervised robust then begin
-      let faults = faults_for robust ~tasks:(List.length corpus) in
-      let rows, ms =
-        Engine.Stats.timed (fun () ->
-            Litmus.Adequacy.run_v ~pool ~contexts ~budget:robust.spec
-              ~retries:robust.retries ~faults ~corpus ())
-      in
-      Fmt.pr "%s" (Matrix.render_e5_v ~stats:true rows);
-      count_outcomes ~ok:Litmus.Adequacy.row_ok rows;
-      add_table ~ms "E5" title
-        (List.map
-           (fun ((t : C.transformation), o) ->
-             jrow_outcome ~name:t.C.name ~row:jrow o)
-           rows);
-      ms
-    end
-    else begin
-      let rows, ms =
-        Engine.Stats.timed (fun () ->
-            Litmus.Adequacy.run ~pool ~contexts ~corpus ())
-      in
-      Fmt.pr "%s" (Matrix.render_e5 ~stats:true rows);
-      add_table ~ms "E5" title
-        (List.map
-           (fun (r : Litmus.Adequacy.row) ->
-             J.Obj (("name", J.String r.tr.C.name) :: jrow r))
-           rows);
-      ms
-    end
-  in
-  swept_in (Engine.Pool.size pool) ms
+  swept_table ~pool ~robust ~id:"E5" ~title ~tasks:(List.length corpus)
+    ~sweep:(fun ~faults ->
+      Litmus.Adequacy.run ~pool ~contexts ~budget:robust.spec
+        ~retries:robust.retries ~faults ~corpus ())
+    ~render:(Matrix.render_e5 ~stats:true)
+    ~ok:Litmus.Adequacy.row_ok
+    ~name:(fun (t : C.transformation) -> t.C.name)
+    ~jrow
 
 (* ------------------------------------------------------------------ *)
 (* E6: catch-fire comparison                                            *)

@@ -21,118 +21,61 @@ let read_input = function
   | None | Some "-" -> In_channel.input_all In_channel.stdin
   | Some path -> In_channel.with_open_text path In_channel.input_all
 
+(* The rows of a sweep's successful tasks. *)
+let oks rows =
+  List.filter_map
+    (fun (_, (o : _ Engine.Sweep.outcome)) -> Result.to_option o.result)
+    rows
+
+let any_unknown rows =
+  List.exists (fun (_, o) -> not (Engine.Sweep.outcome_ok o)) rows
+
 (* The E15 differential grid: every grid litmus program under every
    backend, plus the pass-soundness grid.  Tables are rendered with
    [stats:false] so stdout is byte-identical across runs and [--jobs]
    settings (the CI determinism step diffs them); timing goes to
    stderr. *)
 let run_grid jobs spec retries faults keep_going =
-  let plain =
-    Engine.Budget.spec_is_unlimited spec && retries = 0
-    && faults == Engine.Faults.none
+  let rows, ms =
+    Engine.Stats.timed (fun () ->
+        Litmus.Matrix.e15_rows ~jobs ~budget:spec ~retries ~faults ())
   in
-  let out, truncated, unknown, mismatch =
-    if plain then begin
-      let rows, ms =
-        Engine.Stats.timed (fun () -> Litmus.Matrix.e15_rows ~jobs ())
-      in
-      let prows, pms =
-        Engine.Stats.timed (fun () -> Litmus.Matrix.e15p_rows ~jobs ())
-      in
-      Fmt.epr "-- grid swept in %.1f ms, pass grid in %.1f ms (jobs=%d)@." ms
-        pms jobs;
-      ( Litmus.Matrix.render_e15 rows ^ "\n" ^ Litmus.Matrix.render_e15p prows,
-        List.exists (fun (r : Litmus.Matrix.e15_row) -> r.truncated) rows
-        || List.exists (fun (r : Litmus.Matrix.e15p_row) -> r.truncated) prows,
-        false,
-        List.exists (fun r -> not (Litmus.Matrix.e15_ok r)) rows )
-    end
-    else begin
-      let rows, ms =
-        Engine.Stats.timed (fun () ->
-            Litmus.Matrix.e15_rows_v ~jobs ~budget:spec ~retries ~faults ())
-      in
-      let prows, pms =
-        Engine.Stats.timed (fun () ->
-            Litmus.Matrix.e15p_rows_v ~jobs ~budget:spec ~retries ~faults ())
-      in
-      Fmt.epr "-- grid swept in %.1f ms, pass grid in %.1f ms (jobs=%d)@." ms
-        pms jobs;
-      let oks l =
-        List.filter_map
-          (fun (_, (o : _ Engine.Sweep.outcome)) ->
-            match o.result with Ok r -> Some r | Error _ -> None)
-          l
-      in
-      let ok_rows = oks rows and ok_prows = oks prows in
-      ( Litmus.Matrix.render_e15_v rows ^ "\n"
-        ^ Litmus.Matrix.render_e15p_v prows,
-        List.exists (fun (r : Litmus.Matrix.e15_row) -> r.truncated) ok_rows
-        || List.exists
-             (fun (r : Litmus.Matrix.e15p_row) -> r.truncated)
-             ok_prows,
-        List.exists (fun (_, o) -> not (Engine.Sweep.outcome_ok o)) rows
-        || List.exists (fun (_, o) -> not (Engine.Sweep.outcome_ok o)) prows,
-        List.exists (fun r -> not (Litmus.Matrix.e15_ok r)) ok_rows )
-    end
+  let prows, pms =
+    Engine.Stats.timed (fun () ->
+        Litmus.Matrix.e15p_rows ~jobs ~budget:spec ~retries ~faults ())
   in
-  Fmt.pr "%s" out;
+  Fmt.epr "-- grid swept in %.1f ms, pass grid in %.1f ms (jobs=%d)@." ms pms
+    jobs;
+  Fmt.pr "%s\n%s" (Litmus.Matrix.render_e15 rows)
+    (Litmus.Matrix.render_e15p prows);
+  let ok_rows = oks rows in
+  let truncated =
+    List.exists (fun (r : Litmus.Matrix.e15_row) -> r.truncated) ok_rows
+    || List.exists (fun (r : Litmus.Matrix.e15p_row) -> r.truncated) (oks prows)
+  in
+  let mismatch = List.exists (fun r -> not (Litmus.Matrix.e15_ok r)) ok_rows in
   if mismatch || truncated then 3
-  else if unknown && not keep_going then 4
+  else if (any_unknown rows || any_unknown prows) && not keep_going then 4
   else 0
 
 (* The E4 catalog sweep.  As for the grid, stdout carries the table
    rendered with [stats:false], byte-identical across runs and [--jobs]
    settings; the per-row and total timings go to stderr. *)
-let pr_timings timings ms jobs =
-  List.iter (fun (name, row_ms) -> Fmt.epr "-- %s in %.1f ms@." name row_ms)
-    timings;
-  Fmt.epr "-- swept in %.1f ms (jobs=%d)@." ms jobs
-
 let run_all params jobs spec retries faults keep_going =
-  if
-    Engine.Budget.spec_is_unlimited spec && retries = 0
-    && faults == Engine.Faults.none
-  then begin
-    (* the exact historical path: byte-identical tables, raising sweep *)
-    let rows, ms =
-      Engine.Stats.timed (fun () -> Litmus.Matrix.e4_rows ~jobs ~params ())
-    in
-    Fmt.pr "%s" (Litmus.Matrix.render_e4 rows);
-    pr_timings
-      (List.map
-         (fun (r : Litmus.Matrix.e4_row) -> (r.c.Litmus.Catalog.cname, r.wall_ms))
-         rows)
-      ms jobs;
-    if List.exists (fun (r : Litmus.Matrix.e4_row) -> r.truncated) rows then 3
-    else 0
-  end
-  else begin
-    let rows, ms =
-      Engine.Stats.timed (fun () ->
-          Litmus.Matrix.e4_rows_v ~jobs ~params ~budget:spec ~retries ~faults
-            ())
-    in
-    Fmt.pr "%s" (Litmus.Matrix.render_e4_v rows);
-    pr_timings
-      (List.map
-         (fun ((c : Litmus.Catalog.concurrent), (o : _ Engine.Sweep.outcome)) ->
-           (c.cname, o.wall_ms))
-         rows)
-      ms jobs;
-    let truncated =
-      List.exists
-        (fun (_, (o : _ Engine.Sweep.outcome)) ->
-          match o.result with
-          | Ok (r : Litmus.Matrix.e4_row) -> r.truncated
-          | Error _ -> false)
-        rows
-    in
-    let unknown =
-      List.exists (fun (_, o) -> not (Engine.Sweep.outcome_ok o)) rows
-    in
-    if truncated then 3 else if unknown && not keep_going then 4 else 0
-  end
+  let rows, ms =
+    Engine.Stats.timed (fun () ->
+        Litmus.Matrix.e4_rows ~jobs ~params ~budget:spec ~retries ~faults ())
+  in
+  Fmt.pr "%s" (Litmus.Matrix.render_e4 rows);
+  List.iter
+    (fun ((c : Litmus.Catalog.concurrent), (o : _ Engine.Sweep.outcome)) ->
+      Fmt.epr "-- %s in %.1f ms@." c.cname o.wall_ms)
+    rows;
+  Fmt.epr "-- swept in %.1f ms (jobs=%d)@." ms jobs;
+  if List.exists (fun (r : Litmus.Matrix.e4_row) -> r.truncated) (oks rows)
+  then 3
+  else if any_unknown rows && not keep_going then 4
+  else 0
 
 let run input promises batch max_states compare_baselines named all grid
     backend jobs timeout_ms keep_going retries inject_faults inject_seed =

@@ -142,35 +142,24 @@ let run_client addr backend src_path tgt_path values corpus timeout_ms
           exit_of_verdict ~keep_going r.Service.Proto.verdict)
 
 let run_corpus jobs spec retries keep_going =
-  if Engine.Budget.spec_is_unlimited spec && retries = 0 then begin
-    (* the exact historical path: byte-identical tables, raising sweep *)
-    let rows, ms =
-      Engine.Stats.timed (fun () -> Litmus.Matrix.e12_rows ~jobs ())
-    in
-    Fmt.pr "%s" (Litmus.Matrix.render_e12 ~stats:true rows);
-    Fmt.pr "-- swept in %.1f ms (jobs=%d)@." ms jobs;
-    if List.for_all Litmus.Matrix.e12_ok rows then 0 else 3
-  end
-  else begin
-    let rows, ms =
-      Engine.Stats.timed (fun () ->
-          Litmus.Matrix.e12_rows_v ~jobs ~budget:spec ~retries ())
-    in
-    Fmt.pr "%s" (Litmus.Matrix.render_e12_v ~stats:true rows);
-    Fmt.pr "-- swept in %.1f ms (jobs=%d)@." ms jobs;
-    let mismatch =
-      List.exists
-        (fun (_, (o : _ Engine.Sweep.outcome)) ->
-          match o.result with
-          | Ok r -> not (Litmus.Matrix.e12_ok r)
-          | Error _ -> false)
-        rows
-    in
-    let unknown =
-      List.exists (fun (_, o) -> not (Engine.Sweep.outcome_ok o)) rows
-    in
-    if mismatch then 3 else if unknown && not keep_going then 4 else 0
-  end
+  let rows, ms =
+    Engine.Stats.timed (fun () ->
+        Litmus.Matrix.e12_rows ~jobs ~budget:spec ~retries ())
+  in
+  Fmt.pr "%s" (Litmus.Matrix.render_e12 ~stats:true rows);
+  Fmt.pr "-- swept in %.1f ms (jobs=%d)@." ms jobs;
+  let mismatch =
+    List.exists
+      (fun (_, (o : _ Engine.Sweep.outcome)) ->
+        match o.result with
+        | Ok r -> not (Litmus.Matrix.e12_ok r)
+        | Error _ -> false)
+      rows
+  in
+  let unknown =
+    List.exists (fun (_, o) -> not (Engine.Sweep.outcome_ok o)) rows
+  in
+  if mismatch then 3 else if unknown && not keep_going then 4 else 0
 
 exception Static_mixed
 

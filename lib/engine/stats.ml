@@ -1,23 +1,7 @@
-type task = { wall_ms : float; states : int; memo_hits : int }
-
-let zero = { wall_ms = 0.; states = 0; memo_hits = 0 }
-
-let add a b =
-  {
-    wall_ms = a.wall_ms +. b.wall_ms;
-    states = a.states + b.states;
-    memo_hits = a.memo_hits + b.memo_hits;
-  }
-
-let sum = List.fold_left add zero
-
 let timed f =
   let t0 = Clock.now () in
   let r = f () in
   (r, (Clock.now () -. t0) *. 1000.)
-
-let pp ppf t =
-  Format.fprintf ppf "%.1fms %d states %d hits" t.wall_ms t.states t.memo_hits
 
 type fastpath = { static_hits : int; static_abs_hits : int; enumerated : int }
 

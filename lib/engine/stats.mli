@@ -1,30 +1,13 @@
-(** Per-task timing/stats records for parallel sweeps.
-
-    [wall_ms] is the only field that may legitimately differ between
-    runs (and between [--jobs] settings); [states] and [memo_hits] are
-    deterministic as long as the task's memo tables are task-local (see
-    docs/ENGINE.md for the determinism contract). *)
-
-type task = {
-  wall_ms : float;  (** wall-clock time of the task, milliseconds *)
-  states : int;  (** states / simulation pairs explored *)
-  memo_hits : int;  (** memoization-table hits *)
-}
-
-val zero : task
-val add : task -> task -> task
-val sum : task list -> task
+(** Timing and fast-path counters for sweeps and validation tables. *)
 
 (** [timed f] runs [f ()] and returns its result with the elapsed
     milliseconds on the monotonic {!Clock}. *)
 val timed : (unit -> 'a) -> 'a * float
 
-val pp : Format.formatter -> task -> unit
-
 (** Static fast-path counters for validation sweeps: how many checks were
     discharged by a pipeline-replay certificate ([static_hits]), by the
     abstract-interpretation certifier ([static_abs_hits]), or by
-    enumeration.  Unlike [wall_ms], all fields are deterministic. *)
+    enumeration.  Unlike timings, all fields are deterministic. *)
 type fastpath = { static_hits : int; static_abs_hits : int; enumerated : int }
 
 val fastpath_zero : fastpath

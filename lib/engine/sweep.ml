@@ -4,10 +4,10 @@
     Each task index gets one cell; cells are written by exactly one
     domain each, and the pool's mutex hand-offs publish them to the
     orchestrator before [Pool.run_job] returns.  Cancellation is a
-    monotonically decreasing atomic index bound: an event (match or
-    exception) at index [i] stops tasks [> i] from starting, while tasks
-    [< i] always run — which is exactly what makes min-index selection
-    deterministic. *)
+    monotonically decreasing atomic index bound: an exception at index
+    [i] stops tasks [> i] from starting, while tasks [< i] always run —
+    which is exactly what makes the lowest-index exception the one
+    re-raised, whatever the scheduling. *)
 
 type 'b cell =
   | Empty  (* cancelled before starting *)
@@ -25,7 +25,7 @@ let with_pool_opt ?pool ?jobs f =
   match pool with Some p -> f p | None -> Pool.with_pool ?jobs f
 
 (* Core sweep: fill one cell per task, honouring cancellation. *)
-let run_cells ?pool ?jobs ?chunk ~stop ~init ~f tasks =
+let run_cells ?pool ?jobs ?chunk ~init ~f tasks =
   let arr = Array.of_list tasks in
   let n = Array.length arr in
   let cells = Array.make n Empty in
@@ -44,9 +44,7 @@ let run_cells ?pool ?jobs ?chunk ~stop ~init ~f tasks =
                 e
             in
             match f env arr.(i) with
-            | r ->
-              cells.(i) <- Value r;
-              if stop r then cancel_down bound (i + 1)
+            | r -> cells.(i) <- Value r
             | exception e ->
               cells.(i) <- Raised (e, Printexc.get_raw_backtrace ());
               cancel_down bound (i + 1)
@@ -71,18 +69,14 @@ let collect cells =
       (Array.map
          (function
            | Value v -> v
-           | Empty | Raised _ -> assert false (* no exception, no stop *))
+           | Empty | Raised _ -> assert false (* no exception, no cancel *))
          cells)
 
 let run_with ?pool ?jobs ?chunk ~init ~f tasks =
-  collect
-    (run_cells ?pool ?jobs ?chunk ~stop:(fun _ -> false) ~init ~f tasks)
+  collect (run_cells ?pool ?jobs ?chunk ~init ~f tasks)
 
 let run ?pool ?jobs ?chunk ~f tasks =
   run_with ?pool ?jobs ?chunk ~init:(fun () -> ()) ~f:(fun () x -> f x) tasks
-
-let run_timed ?pool ?jobs ?chunk ~f tasks =
-  run ?pool ?jobs ?chunk ~f:(fun x -> Stats.timed (fun () -> f x)) tasks
 
 (* ------------------------------------------------------------------ *)
 (* Supervised sweeps: budgeted, fault-tolerant, never raising           *)
@@ -145,24 +139,3 @@ let run_verdict ?pool ?jobs ?chunk ?budget ?retries ?backoff_ms ?max_backoff_ms
     ~init:(fun () -> ())
     ~f:(fun () ~budget x -> f ~budget x)
     tasks
-
-let find_first ?pool ?jobs ?chunk ~f tasks =
-  let cells =
-    run_cells ?pool ?jobs ?chunk
-      ~stop:(fun r -> Option.is_some r)
-      ~init:(fun () -> ())
-      ~f:(fun () x -> f x)
-      tasks
-  in
-  (* The first decisive cell wins: a lower-index exception beats a
-     higher-index match, as in a sequential left-to-right scan. *)
-  let n = Array.length cells in
-  let rec scan i =
-    if i >= n then None
-    else
-      match cells.(i) with
-      | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Value (Some r) -> Some (i, r)
-      | Value None | Empty -> scan (i + 1)
-  in
-  scan 0

@@ -6,11 +6,8 @@
     - results are collected by task index, never by completion order;
     - if several tasks raise, the exception of the {e lowest-index}
       raising task is re-raised (with its backtrace), as a sequential
-      left-to-right run would have done;
-    - {!find_first} returns the match of lowest task index, even when a
-      higher-index worker finds its match earlier in wall-clock time;
-      tasks beyond the best match so far are cancelled, tasks before it
-      always run.
+      left-to-right run would have done; tasks beyond the lowest raising
+      index so far are cancelled, tasks before it always run.
 
     The determinism contract requires [f] to be observationally pure:
     given the same task it must return the same value regardless of
@@ -38,16 +35,6 @@ val run_with :
   f:('env -> 'a -> 'b) ->
   'a list ->
   'b list
-
-(** [run_timed ~f tasks]: {!run}, pairing each result with the task's
-    wall-clock milliseconds. *)
-val run_timed :
-  ?pool:Pool.t ->
-  ?jobs:int ->
-  ?chunk:int ->
-  f:('a -> 'b) ->
-  'a list ->
-  ('b * float) list
 
 (** The outcome of one supervised task: the task's result, or the
     normalized reason it could not be computed.  [attempts] counts
@@ -105,15 +92,3 @@ val run_verdict_with :
   f:('env -> budget:Budget.t -> 'a -> 'b) ->
   'a list ->
   'b outcome list
-
-(** [find_first ~f tasks] is [List.find_map]-with-index: the first task
-    (lowest index) for which [f] returns [Some].  Remaining tasks are
-    cancelled once a match is known — the "stop on first UB/mismatch"
-    mode. *)
-val find_first :
-  ?pool:Pool.t ->
-  ?jobs:int ->
-  ?chunk:int ->
-  f:('a -> 'b option) ->
-  'a list ->
-  (int * 'b) option

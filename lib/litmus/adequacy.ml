@@ -75,17 +75,10 @@ let check_transformation ?(params = Promising.Thread.default_params)
     memo_hits = !memo_hits;
   }
 
-(** Run the experiment over (a sublist of) the corpus, one engine task
-    per row. *)
-let run ?pool ?jobs ?params ?contexts ?(corpus = Catalog.transformations) () :
-    row list =
-  Engine.Sweep.run ?pool ?jobs
-    ~f:(fun tr -> check_transformation ?params ?contexts tr)
-    corpus
-
-(** The fault-tolerant variant: one supervised outcome per corpus row, in
-    corpus order; never raises (see {!Engine.Sweep.run_verdict}). *)
-let run_v ?pool ?jobs ?params ?contexts ?budget ?retries ?faults
+(** Run the experiment over (a sublist of) the corpus: one supervised
+    outcome per row, in corpus order; never raises (see
+    {!Engine.Sweep.run_verdict}). *)
+let run ?pool ?jobs ?params ?contexts ?budget ?retries ?faults
     ?(corpus = Catalog.transformations) () :
     (Catalog.transformation * row Engine.Sweep.outcome) list =
   let outcomes =

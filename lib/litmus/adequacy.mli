@@ -30,23 +30,13 @@ val check_transformation :
   Catalog.transformation ->
   row
 
-(** Run the experiment over (a sublist of) the corpus, swept in parallel
-    by the engine when [pool]/[jobs] ask for it (each row gets a fresh
-    memo context, so results and stats are identical for every [jobs]). *)
+(** The E5 sweep over (a sublist of) the corpus: one supervised outcome
+    per row, in corpus order; never raises.  Each row gets a fresh memo
+    context, so results and stats are identical for every [jobs]; each
+    row attempt gets a fresh budget from [budget]; budget exhaustion and
+    trapped exceptions become [Error] outcomes (see
+    {!Engine.Sweep.run_verdict}). *)
 val run :
-  ?pool:Engine.Pool.t ->
-  ?jobs:int ->
-  ?params:Promising.Thread.params ->
-  ?contexts:(string * string) list ->
-  ?corpus:Catalog.transformation list ->
-  unit ->
-  row list
-
-(** The fault-tolerant E5 sweep: one supervised outcome per corpus row, in
-    corpus order; never raises.  Each row attempt gets a fresh budget from
-    [budget]; budget exhaustion and trapped exceptions become [Error]
-    outcomes (see {!Engine.Sweep.run_verdict}). *)
-val run_v :
   ?pool:Engine.Pool.t ->
   ?jobs:int ->
   ?params:Promising.Thread.params ->

@@ -45,14 +45,9 @@ let e12_row ?values ?budget (tr : Catalog.transformation) : e12_row =
   in
   { row with wall_ms = ms }
 
-let e12_rows ?pool ?jobs ?values () : e12_row list =
-  Engine.Sweep.run ?pool ?jobs
-    ~f:(fun tr -> e12_row ?values tr)
-    Catalog.transformations
-
 (** The fault-tolerant sweep: one supervised outcome per corpus entry, in
     corpus order; never raises (see {!Engine.Sweep.run_verdict}). *)
-let e12_rows_v ?pool ?jobs ?values ?budget ?retries ?faults
+let e12_rows ?pool ?jobs ?values ?budget ?retries ?faults
     ?(corpus = Catalog.transformations) () :
     (Catalog.transformation * e12_row Engine.Sweep.outcome) list =
   let outcomes =
@@ -62,75 +57,63 @@ let e12_rows_v ?pool ?jobs ?values ?budget ?retries ?faults
   in
   List.combine corpus outcomes
 
-(* Shared row printers: the [_v] renderers reuse them so that on all-Ok
-   outcomes their output is byte-identical to the plain renderers (the
-   golden tests pin the latter). *)
 let bpr buf fmt = Printf.ksprintf (Buffer.add_string buf) fmt
 
-let pr_e12_header buf stats =
-  let pr fmt = bpr buf fmt in
-  pr "%-32s %-26s %-18s %-18s %-10s %-8s%s\n" "name" "paper ref"
-    "simple(exp/got)" "advanced(exp/got)" "ok" "pairs"
-    (if stats then " ms" else "")
-
-let pr_e12_row buf stats (r : e12_row) =
-  let pr fmt = bpr buf fmt in
-  let ok = e12_ok r in
-  pr "%-32s %-26s %-18s %-18s %-10s %-8d%s\n" r.tr.Catalog.name
-    r.tr.Catalog.paper_ref
-    (Printf.sprintf "%s/%s"
-       (Catalog.verdict_to_string r.tr.Catalog.simple)
-       (Catalog.verdict_to_string r.simple_got))
-    (Printf.sprintf "%s/%s"
-       (Catalog.verdict_to_string r.tr.Catalog.advanced)
-       (Catalog.verdict_to_string r.advanced_got))
-    (if ok then "ok" else "MISMATCH")
-    r.pairs
-    (if stats then Printf.sprintf " %.1f" r.wall_ms else "");
-  ok
-
-let pr_e12_unknown buf stats (tr : Catalog.transformation)
-    (o : e12_row Engine.Sweep.outcome) reason =
-  let pr fmt = bpr buf fmt in
-  pr "%-32s %-26s %-18s %-18s %-10s %-8s%s\n" tr.Catalog.name
-    tr.Catalog.paper_ref
-    (Printf.sprintf "%s/?" (Catalog.verdict_to_string tr.Catalog.simple))
-    (Printf.sprintf "%s/?" (Catalog.verdict_to_string tr.Catalog.advanced))
-    (Printf.sprintf "UNKNOWN(%s)" (Engine.Verdict.reason_to_string reason))
-    "-"
-    (if stats then Printf.sprintf " %.1f" o.Engine.Sweep.wall_ms else "")
-
-let render_e12 ?(stats = false) (rows : e12_row list) : string =
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e12_header buf stats;
-  let mismatches = ref 0 in
-  List.iter (fun r -> if not (pr_e12_row buf stats r) then incr mismatches) rows;
-  pr "-- %d transformations, %d mismatches\n" (List.length rows) !mismatches;
-  Buffer.contents buf
-
-(** Render supervised outcomes; byte-identical to {!render_e12} when every
-    outcome is [Ok].  Unknown rows keep the table shape, and the footer
-    counts them only when there are any. *)
-let render_e12_v ?(stats = false)
-    (rows : (Catalog.transformation * e12_row Engine.Sweep.outcome) list) :
-    string =
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e12_header buf stats;
-  let mismatches = ref 0 and unknown = ref 0 in
+(* Every table renders the same way: [header], then per outcome either
+   its row ([row] returns false on a mismatch or violation) or, for a
+   failed task, a row carrying [UNKNOWN(reason)], then the footer line.
+   The footer gets [, N unknown] only when N > 0, so a table with no
+   failed task reads the same however it was budgeted. *)
+let render ~header ~row ~unknown ~footer outcomes =
+  let buf = Buffer.create 2048 in
+  bpr buf "%s\n" header;
+  let bad = ref 0 and unknowns = ref 0 in
   List.iter
-    (fun (tr, o) ->
-      match o.Engine.Sweep.result with
-      | Ok r -> if not (pr_e12_row buf stats r) then incr mismatches
+    (fun (task, (o : _ Engine.Sweep.outcome)) ->
+      match o.result with
+      | Ok r -> if not (row buf r) then incr bad
       | Error reason ->
-        incr unknown;
-        pr_e12_unknown buf stats tr o reason)
-    rows;
-  pr "-- %d transformations, %d mismatches%s\n" (List.length rows)
-    !mismatches
-    (if !unknown > 0 then Printf.sprintf ", %d unknown" !unknown else "");
+        incr unknowns;
+        unknown buf task o
+          (Printf.sprintf "UNKNOWN(%s)"
+             (Engine.Verdict.reason_to_string reason)))
+    outcomes;
+  bpr buf "-- %s%s\n" (footer outcomes !bad)
+    (if !unknowns > 0 then Printf.sprintf ", %d unknown" !unknowns else "");
   Buffer.contents buf
+
+(* The bracketed wall-clock column of the litmus and grid tables. *)
+let ms_col stats ms = if stats then Printf.sprintf "  [%.1f]" ms else ""
+
+let render_e12 ?(stats = false) rows =
+  let ms_col ms = if stats then Printf.sprintf " %.1f" ms else "" in
+  let exp_got expected got =
+    Printf.sprintf "%s/%s" (Catalog.verdict_to_string expected) got
+  in
+  render rows
+    ~header:
+      (Printf.sprintf "%-32s %-26s %-18s %-18s %-10s %-8s%s" "name"
+         "paper ref" "simple(exp/got)" "advanced(exp/got)" "ok" "pairs"
+         (if stats then " ms" else ""))
+    ~row:(fun buf (r : e12_row) ->
+      let ok = e12_ok r in
+      bpr buf "%-32s %-26s %-18s %-18s %-10s %-8d%s\n" r.tr.Catalog.name
+        r.tr.Catalog.paper_ref
+        (exp_got r.tr.Catalog.simple (Catalog.verdict_to_string r.simple_got))
+        (exp_got r.tr.Catalog.advanced
+           (Catalog.verdict_to_string r.advanced_got))
+        (if ok then "ok" else "MISMATCH")
+        r.pairs (ms_col r.wall_ms);
+      ok)
+    ~unknown:(fun buf (tr : Catalog.transformation) o unknown ->
+      bpr buf "%-32s %-26s %-18s %-18s %-10s %-8s%s\n" tr.Catalog.name
+        tr.Catalog.paper_ref
+        (exp_got tr.Catalog.simple "?")
+        (exp_got tr.Catalog.advanced "?")
+        unknown "-" (ms_col o.Engine.Sweep.wall_ms))
+    ~footer:(fun rows bad ->
+      Printf.sprintf "%d transformations, %d mismatches" (List.length rows)
+        bad)
 
 (* ------------------------------------------------------------------ *)
 (* E4: PS_na litmus outcomes                                            *)
@@ -163,14 +146,9 @@ let e4_row ?params ?memo ?budget (c : Catalog.concurrent) : e4_row =
   in
   { row with wall_ms = ms }
 
-let e4_rows ?pool ?jobs ?params () : e4_row list =
-  Engine.Sweep.run_with ?pool ?jobs ~init:M.make_memo
-    ~f:(fun memo c -> e4_row ?params ~memo c)
-    Catalog.concurrent_programs
-
-(** Fault-tolerant E4 sweep; worker domains keep the same per-domain
-    certification memo as {!e4_rows}. *)
-let e4_rows_v ?pool ?jobs ?params ?budget ?retries ?faults
+(** Fault-tolerant E4 sweep; worker domains keep a per-domain
+    certification memo across their tasks. *)
+let e4_rows ?pool ?jobs ?params ?budget ?retries ?faults
     ?(corpus = Catalog.concurrent_programs) () :
     (Catalog.concurrent * e4_row Engine.Sweep.outcome) list =
   let outcomes =
@@ -181,125 +159,63 @@ let e4_rows_v ?pool ?jobs ?params ?budget ?retries ?faults
   in
   List.combine corpus outcomes
 
-let pr_e4_header buf stats =
-  let pr fmt = bpr buf fmt in
-  pr "%-12s %-18s %-8s %-7s %s%s\n" "litmus" "paper ref" "states" "races"
-    "behaviors"
-    (if stats then "  [ms]" else "")
-
-let pr_e4_row buf stats (r : e4_row) =
-  let pr fmt = bpr buf fmt in
-  pr "%-12s %-18s %-8d %-7b %s%s%s\n" r.c.Catalog.cname r.c.Catalog.cref
-    r.states r.races r.behaviors
-    (if r.truncated then " (TRUNCATED)" else "")
-    (if stats then Printf.sprintf "  [%.1f]" r.wall_ms else "")
-
-let render_e4 ?(stats = false) (rows : e4_row list) : string =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e4_header buf stats;
-  List.iter (fun r -> pr_e4_row buf stats r) rows;
-  pr "-- %d litmus programs\n" (List.length rows);
-  Buffer.contents buf
-
-(** Render supervised E4 outcomes; byte-identical to {!render_e4} when
-    every outcome is [Ok]. *)
-let render_e4_v ?(stats = false)
-    (rows : (Catalog.concurrent * e4_row Engine.Sweep.outcome) list) : string =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e4_header buf stats;
-  let unknown = ref 0 in
-  List.iter
-    (fun (c, o) ->
-      match o.Engine.Sweep.result with
-      | Ok r -> pr_e4_row buf stats r
-      | Error reason ->
-        incr unknown;
-        pr "%-12s %-18s %-8s %-7s UNKNOWN(%s)%s\n" c.Catalog.cname
-          c.Catalog.cref "-" "-"
-          (Engine.Verdict.reason_to_string reason)
-          (if stats then Printf.sprintf "  [%.1f]" o.Engine.Sweep.wall_ms
-           else ""))
-    rows;
-  pr "-- %d litmus programs%s\n" (List.length rows)
-    (if !unknown > 0 then Printf.sprintf ", %d unknown" !unknown else "");
-  Buffer.contents buf
+let render_e4 ?(stats = false) rows =
+  render rows
+    ~header:
+      (Printf.sprintf "%-12s %-18s %-8s %-7s %s%s" "litmus" "paper ref"
+         "states" "races" "behaviors"
+         (if stats then "  [ms]" else ""))
+    ~row:(fun buf (r : e4_row) ->
+      bpr buf "%-12s %-18s %-8d %-7b %s%s%s\n" r.c.Catalog.cname
+        r.c.Catalog.cref r.states r.races r.behaviors
+        (if r.truncated then " (TRUNCATED)" else "")
+        (ms_col stats r.wall_ms);
+      true)
+    ~unknown:(fun buf (c : Catalog.concurrent) o unknown ->
+      bpr buf "%-12s %-18s %-8s %-7s %s%s\n" c.Catalog.cname c.Catalog.cref
+        "-" "-" unknown
+        (ms_col stats o.Engine.Sweep.wall_ms))
+    ~footer:(fun rows _ ->
+      Printf.sprintf "%d litmus programs" (List.length rows))
 
 (* ------------------------------------------------------------------ *)
 (* E5: adequacy                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let pr_e5_header buf stats =
-  let pr fmt = bpr buf fmt in
-  pr "%-32s %-9s %-11s %-20s%s\n" "transformation" "SEQ-adv" "PS-refines"
-    "ok"
-    (if stats then " pairs    states    hits" else "")
-
-let pr_e5_row buf stats (r : Adequacy.row) =
-  let pr fmt = bpr buf fmt in
-  let all_refine = List.for_all (fun (_, ok, _) -> ok) r.Adequacy.contexts in
-  let ok = Adequacy.row_ok r in
-  pr "%-32s %-9b %-11b %-20s%s\n" r.Adequacy.tr.Catalog.name
-    r.Adequacy.seq_advanced all_refine
-    (if ok then "ok" else "ADEQUACY VIOLATION")
-    (if stats then
-       Printf.sprintf " %-8d %-9d %d" r.Adequacy.seq_pairs r.Adequacy.states
-         r.Adequacy.memo_hits
-     else "");
-  ok
-
-let render_e5 ?(stats = false) (rows : Adequacy.row list) : string =
-  let buf = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e5_header buf stats;
-  let violations = ref 0 in
-  List.iter
-    (fun (r : Adequacy.row) ->
-      if not (pr_e5_row buf stats r) then incr violations)
-    rows;
-  let n_contexts =
-    match rows with r :: _ -> List.length r.Adequacy.contexts | [] -> 0
-  in
-  pr "-- %d rows x %d contexts, %d adequacy violations\n" (List.length rows)
-    n_contexts !violations;
-  Buffer.contents buf
-
-(** Render supervised E5 outcomes; byte-identical to {!render_e5} when
-    every outcome is [Ok]. *)
-let render_e5_v ?(stats = false)
-    (rows : (Catalog.transformation * Adequacy.row Engine.Sweep.outcome) list)
-    : string =
-  let buf = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e5_header buf stats;
-  let violations = ref 0 and unknown = ref 0 in
-  List.iter
-    (fun ((tr : Catalog.transformation), o) ->
-      match o.Engine.Sweep.result with
-      | Ok r -> if not (pr_e5_row buf stats r) then incr violations
-      | Error reason ->
-        incr unknown;
-        pr "%-32s %-9s %-11s %-20s%s\n" tr.Catalog.name "-" "-"
-          (Printf.sprintf "UNKNOWN(%s)"
-             (Engine.Verdict.reason_to_string reason))
-          (if stats then
-             Printf.sprintf " -        -         -"
-           else ""))
-    rows;
-  let n_contexts =
-    List.find_map
-      (fun (_, o) ->
-        match o.Engine.Sweep.result with
-        | Ok (r : Adequacy.row) -> Some (List.length r.Adequacy.contexts)
-        | Error _ -> None)
-      rows
-    |> Option.value ~default:0
-  in
-  pr "-- %d rows x %d contexts, %d adequacy violations%s\n"
-    (List.length rows) n_contexts !violations
-    (if !unknown > 0 then Printf.sprintf ", %d unknown" !unknown else "");
-  Buffer.contents buf
+let render_e5 ?(stats = false) rows =
+  render rows
+    ~header:
+      (Printf.sprintf "%-32s %-9s %-11s %-20s%s" "transformation" "SEQ-adv"
+         "PS-refines" "ok"
+         (if stats then " pairs    states    hits" else ""))
+    ~row:(fun buf (r : Adequacy.row) ->
+      let all_refine =
+        List.for_all (fun (_, ok, _) -> ok) r.Adequacy.contexts
+      in
+      let ok = Adequacy.row_ok r in
+      bpr buf "%-32s %-9b %-11b %-20s%s\n" r.Adequacy.tr.Catalog.name
+        r.Adequacy.seq_advanced all_refine
+        (if ok then "ok" else "ADEQUACY VIOLATION")
+        (if stats then
+           Printf.sprintf " %-8d %-9d %d" r.Adequacy.seq_pairs
+             r.Adequacy.states r.Adequacy.memo_hits
+         else "");
+      ok)
+    ~unknown:(fun buf (tr : Catalog.transformation) _ unknown ->
+      bpr buf "%-32s %-9s %-11s %-20s%s\n" tr.Catalog.name "-" "-" unknown
+        (if stats then " -        -         -" else ""))
+    ~footer:(fun rows violations ->
+      let n_contexts =
+        List.find_map
+          (fun (_, (o : Adequacy.row Engine.Sweep.outcome)) ->
+            match o.result with
+            | Ok r -> Some (List.length r.Adequacy.contexts)
+            | Error _ -> None)
+          rows
+        |> Option.value ~default:0
+      in
+      Printf.sprintf "%d rows x %d contexts, %d adequacy violations"
+        (List.length rows) n_contexts violations)
 
 (* ------------------------------------------------------------------ *)
 (* E15: the N-model differential grid                                   *)
@@ -366,13 +282,8 @@ let e15_row ?values ?max_states ?budget (ge : Catalog.grid_entry) : e15_row =
   in
   { row with wall_ms = ms }
 
-let e15_rows ?pool ?jobs ?values () : e15_row list =
-  Engine.Sweep.run ?pool ?jobs
-    ~f:(fun ge -> e15_row ?values ge)
-    Catalog.grid_programs
-
-(** The fault-tolerant grid sweep, supervised as {!e12_rows_v}. *)
-let e15_rows_v ?pool ?jobs ?values ?budget ?retries ?faults
+(** The fault-tolerant grid sweep, supervised as {!e12_rows}. *)
+let e15_rows ?pool ?jobs ?values ?budget ?retries ?faults
     ?(corpus = Catalog.grid_programs) () :
     (Catalog.grid_entry * e15_row Engine.Sweep.outcome) list =
   let outcomes =
@@ -385,69 +296,37 @@ let e15_rows_v ?pool ?jobs ?values ?budget ?retries ?faults
 let e15_weak_string (ge : Catalog.grid_entry) =
   String.concat "," (List.map string_of_int ge.Catalog.weak)
 
-let pr_e15_header buf stats =
-  let pr fmt = bpr buf fmt in
-  pr "%-12s %-18s %-10s %-7s %-7s %-7s %-7s %-9s %s%s\n" "litmus"
-    "paper ref" "weak" "sc" "tso" "armv8" "ps" "chain" "ok"
-    (if stats then "  [ms]" else "")
-
-let pr_e15_row buf stats (r : e15_row) =
-  let pr fmt = bpr buf fmt in
-  let ok = e15_ok r in
-  let cell name =
-    match List.assoc_opt name r.cells with
-    | Some true -> "allow"
-    | Some false -> "forbid"
-    | None -> "-"
-  in
-  pr "%-12s %-18s %-10s %-7s %-7s %-7s %-7s %-9s %s%s%s\n"
-    r.ge.Catalog.g.Catalog.cname r.ge.Catalog.g.Catalog.cref
-    (e15_weak_string r.ge) (cell "sc") (cell "tso") (cell "armv8")
-    (cell "ps")
-    (if r.chain_ok then "ok" else "VIOLATION")
-    (if ok then "ok" else "MISMATCH")
-    (if r.truncated then " (TRUNCATED)" else "")
-    (if stats then Printf.sprintf "  [%.1f]" r.wall_ms else "");
-  ok
-
-let pr_e15_unknown buf stats (ge : Catalog.grid_entry)
-    (o : e15_row Engine.Sweep.outcome) reason =
-  let pr fmt = bpr buf fmt in
-  pr "%-12s %-18s %-10s %-7s %-7s %-7s %-7s %-9s UNKNOWN(%s)%s\n"
-    ge.Catalog.g.Catalog.cname ge.Catalog.g.Catalog.cref
-    (e15_weak_string ge) "-" "-" "-" "-" "-"
-    (Engine.Verdict.reason_to_string reason)
-    (if stats then Printf.sprintf "  [%.1f]" o.Engine.Sweep.wall_ms else "")
-
-let render_e15 ?(stats = false) (rows : e15_row list) : string =
-  let buf = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e15_header buf stats;
-  let mismatches = ref 0 in
-  List.iter (fun r -> if not (pr_e15_row buf stats r) then incr mismatches) rows;
-  pr "-- %d grid rows, %d mismatches\n" (List.length rows) !mismatches;
-  Buffer.contents buf
-
-(** Render supervised grid outcomes; byte-identical to {!render_e15}
-    when every outcome is [Ok]. *)
-let render_e15_v ?(stats = false)
-    (rows : (Catalog.grid_entry * e15_row Engine.Sweep.outcome) list) : string
-    =
-  let buf = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e15_header buf stats;
-  let mismatches = ref 0 and unknown = ref 0 in
-  List.iter
-    (fun (ge, o) ->
-      match o.Engine.Sweep.result with
-      | Ok r -> if not (pr_e15_row buf stats r) then incr mismatches
-      | Error reason ->
-        incr unknown;
-        pr_e15_unknown buf stats ge o reason)
-    rows;
-  pr "-- %d grid rows, %d mismatches%s\n" (List.length rows) !mismatches
-    (if !unknown > 0 then Printf.sprintf ", %d unknown" !unknown else "");
-  Buffer.contents buf
+let render_e15 ?(stats = false) rows =
+  render rows
+    ~header:
+      (Printf.sprintf "%-12s %-18s %-10s %-7s %-7s %-7s %-7s %-9s %s%s"
+         "litmus" "paper ref" "weak" "sc" "tso" "armv8" "ps" "chain" "ok"
+         (if stats then "  [ms]" else ""))
+    ~row:(fun buf (r : e15_row) ->
+      let ok = e15_ok r in
+      let cell name =
+        match List.assoc_opt name r.cells with
+        | Some true -> "allow"
+        | Some false -> "forbid"
+        | None -> "-"
+      in
+      bpr buf "%-12s %-18s %-10s %-7s %-7s %-7s %-7s %-9s %s%s%s\n"
+        r.ge.Catalog.g.Catalog.cname r.ge.Catalog.g.Catalog.cref
+        (e15_weak_string r.ge) (cell "sc") (cell "tso") (cell "armv8")
+        (cell "ps")
+        (if r.chain_ok then "ok" else "VIOLATION")
+        (if ok then "ok" else "MISMATCH")
+        (if r.truncated then " (TRUNCATED)" else "")
+        (ms_col stats r.wall_ms);
+      ok)
+    ~unknown:(fun buf (ge : Catalog.grid_entry) o unknown ->
+      bpr buf "%-12s %-18s %-10s %-7s %-7s %-7s %-7s %-9s %s%s\n"
+        ge.Catalog.g.Catalog.cname ge.Catalog.g.Catalog.cref
+        (e15_weak_string ge) "-" "-" "-" "-" "-" unknown
+        (ms_col stats o.Engine.Sweep.wall_ms))
+    ~footer:(fun rows mismatches ->
+      Printf.sprintf "%d grid rows, %d mismatches" (List.length rows)
+        mismatches)
 
 (* The pass-soundness half of E15: SEQ-validated transformations in a
    concurrent context, re-checked as behavior-set refinement per
@@ -492,13 +371,8 @@ let e15p_row ?values ?max_states ?budget ((tr_name, ctx_name) : string * string)
   in
   { row with wall_ms = ms }
 
-let e15p_rows ?pool ?jobs ?values () : e15p_row list =
-  Engine.Sweep.run ?pool ?jobs
-    ~f:(fun pc -> e15p_row ?values pc)
-    Catalog.grid_passes
-
 (** The fault-tolerant pass-grid sweep. *)
-let e15p_rows_v ?pool ?jobs ?values ?budget ?retries ?faults
+let e15p_rows ?pool ?jobs ?values ?budget ?retries ?faults
     ?(corpus = Catalog.grid_passes) () :
     ((string * string) * e15p_row Engine.Sweep.outcome) list =
   let outcomes =
@@ -508,54 +382,26 @@ let e15p_rows_v ?pool ?jobs ?values ?budget ?retries ?faults
   in
   List.combine corpus outcomes
 
-let pr_e15p_header buf stats =
-  let pr fmt = bpr buf fmt in
-  pr "%-26s %-20s %-9s %-11s %-9s %-9s %-9s%s\n" "transformation" "context"
-    "sc" "catchfire" "tso" "armv8" "ps"
-    (if stats then "  [ms]" else "")
-
-let pr_e15p_row buf stats (r : e15p_row) =
-  let pr fmt = bpr buf fmt in
-  let cell name =
-    match List.assoc_opt name r.cells with
-    | Some true -> "ok"
-    | Some false -> "REFUTED"
-    | None -> "-"
-  in
-  pr "%-26s %-20s %-9s %-11s %-9s %-9s %-9s%s%s\n" r.tr.Catalog.name
-    r.ctx_name (cell "sc") (cell "catchfire") (cell "tso") (cell "armv8")
-    (cell "ps")
-    (if r.truncated then " (TRUNCATED)" else "")
-    (if stats then Printf.sprintf "  [%.1f]" r.wall_ms else "")
-
-let render_e15p ?(stats = false) (rows : e15p_row list) : string =
-  let buf = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e15p_header buf stats;
-  List.iter (fun r -> pr_e15p_row buf stats r) rows;
-  pr "-- %d pass rows\n" (List.length rows);
-  Buffer.contents buf
-
-(** Render supervised pass-grid outcomes; byte-identical to
-    {!render_e15p} when every outcome is [Ok]. *)
-let render_e15p_v ?(stats = false)
-    (rows : ((string * string) * e15p_row Engine.Sweep.outcome) list) : string
-    =
-  let buf = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr_e15p_header buf stats;
-  let unknown = ref 0 in
-  List.iter
-    (fun ((tr_name, ctx_name), o) ->
-      match o.Engine.Sweep.result with
-      | Ok r -> pr_e15p_row buf stats r
-      | Error reason ->
-        incr unknown;
-        pr "%-26s %-20s UNKNOWN(%s)%s\n" tr_name ctx_name
-          (Engine.Verdict.reason_to_string reason)
-          (if stats then Printf.sprintf "  [%.1f]" o.Engine.Sweep.wall_ms
-           else ""))
-    rows;
-  pr "-- %d pass rows%s\n" (List.length rows)
-    (if !unknown > 0 then Printf.sprintf ", %d unknown" !unknown else "");
-  Buffer.contents buf
+let render_e15p ?(stats = false) rows =
+  render rows
+    ~header:
+      (Printf.sprintf "%-26s %-20s %-9s %-11s %-9s %-9s %-9s%s"
+         "transformation" "context" "sc" "catchfire" "tso" "armv8" "ps"
+         (if stats then "  [ms]" else ""))
+    ~row:(fun buf (r : e15p_row) ->
+      let cell name =
+        match List.assoc_opt name r.cells with
+        | Some true -> "ok"
+        | Some false -> "REFUTED"
+        | None -> "-"
+      in
+      bpr buf "%-26s %-20s %-9s %-11s %-9s %-9s %-9s%s%s\n" r.tr.Catalog.name
+        r.ctx_name (cell "sc") (cell "catchfire") (cell "tso") (cell "armv8")
+        (cell "ps")
+        (if r.truncated then " (TRUNCATED)" else "")
+        (ms_col stats r.wall_ms);
+      true)
+    ~unknown:(fun buf (tr_name, ctx_name) o unknown ->
+      bpr buf "%-26s %-20s %s%s\n" tr_name ctx_name unknown
+        (ms_col stats o.Engine.Sweep.wall_ms))
+    ~footer:(fun rows _ -> Printf.sprintf "%d pass rows" (List.length rows))

@@ -5,7 +5,13 @@
     deterministic function of the corpus (verdicts, state/pair counts) —
     that is what the golden tests pin down.  [stats:true] appends one
     final wall-clock [ms] column, the only column allowed to differ
-    between runs or [--jobs] settings. *)
+    between runs or [--jobs] settings.
+
+    Each table has one sweep, supervised by {!Engine.Sweep.run_verdict},
+    and one renderer over its outcomes.  A task that fails (budget
+    exhausted, exception trapped) renders as an [UNKNOWN(reason)] row and
+    the footer counts such rows only when there are any, so a table whose
+    tasks all succeed reads the same under any budget. *)
 
 open Lang
 
@@ -25,29 +31,21 @@ val e12_row :
   ?values:Value.t list -> ?budget:Engine.Budget.t ->
   Catalog.transformation -> e12_row
 
-(** The full corpus, one engine task per transformation. *)
-val e12_rows :
-  ?pool:Engine.Pool.t -> ?jobs:int -> ?values:Value.t list -> unit ->
-  e12_row list
-
-(** The fault-tolerant E1/E2 sweep: one supervised outcome per corpus
-    entry, in corpus order; never raises.  Each task attempt gets a fresh
-    budget from [budget]; budget exhaustion and trapped exceptions (e.g.
+(** The E1/E2 sweep: one supervised outcome per corpus entry, in corpus
+    order; never raises.  Each task attempt gets a fresh budget from
+    [budget]; budget exhaustion and trapped exceptions (e.g.
     [Config.Mixed_access]) become [Error] outcomes instead of aborting the
     sweep (see {!Engine.Sweep.run_verdict}).  [corpus] defaults to the full
     {!Catalog.transformations}. *)
-val e12_rows_v :
+val e12_rows :
   ?pool:Engine.Pool.t -> ?jobs:int -> ?values:Value.t list ->
   ?budget:Engine.Budget.spec -> ?retries:int -> ?faults:Engine.Faults.plan ->
   ?corpus:Catalog.transformation list -> unit ->
   (Catalog.transformation * e12_row Engine.Sweep.outcome) list
 
-val render_e12 : ?stats:bool -> e12_row list -> string
-
-(** Render supervised outcomes: byte-identical to {!render_e12} when every
-    outcome is [Ok]; failed tasks get an [UNKNOWN(reason)] row and the
-    footer counts them (only when nonzero). *)
-val render_e12_v :
+(** Render the outcomes: a failed task gets an [UNKNOWN(reason)] row and
+    the footer counts such rows (only when nonzero). *)
+val render_e12 :
   ?stats:bool ->
   (Catalog.transformation * e12_row Engine.Sweep.outcome) list -> string
 
@@ -65,38 +63,26 @@ val e4_row :
   ?params:Promising.Thread.params -> ?memo:Promising.Machine.memo ->
   ?budget:Engine.Budget.t -> Catalog.concurrent -> e4_row
 
-(** The full litmus catalog, one engine task per program.  Worker domains
-    keep a persistent per-domain certification memo across their tasks
-    (never shared between domains); this warms timing only — states,
-    races and behaviors are memo-independent. *)
+(** The E4 sweep over the litmus catalog, supervised as {!e12_rows}.
+    Worker domains keep a persistent per-domain certification memo across
+    their tasks (never shared between domains); this warms timing only —
+    states, races and behaviors are memo-independent. *)
 val e4_rows :
-  ?pool:Engine.Pool.t -> ?jobs:int -> ?params:Promising.Thread.params ->
-  unit -> e4_row list
-
-(** The fault-tolerant E4 sweep; per-domain memo as {!e4_rows}, supervised
-    outcomes as {!e12_rows_v}. *)
-val e4_rows_v :
   ?pool:Engine.Pool.t -> ?jobs:int -> ?params:Promising.Thread.params ->
   ?budget:Engine.Budget.spec -> ?retries:int -> ?faults:Engine.Faults.plan ->
   ?corpus:Catalog.concurrent list -> unit ->
   (Catalog.concurrent * e4_row Engine.Sweep.outcome) list
 
-val render_e4 : ?stats:bool -> e4_row list -> string
-
-(** Render supervised E4 outcomes; byte-identical to {!render_e4} when
-    every outcome is [Ok]. *)
-val render_e4_v :
+(** Render E4 outcomes as {!render_e12} does. *)
+val render_e4 :
   ?stats:bool ->
   (Catalog.concurrent * e4_row Engine.Sweep.outcome) list -> string
 
-(** Render E5 adequacy rows (see {!Adequacy}); same [stats] discipline
-    ([ms] is omitted because rows carry no timing — the bench harness
-    times whole tables). *)
-val render_e5 : ?stats:bool -> Adequacy.row list -> string
-
-(** Render supervised E5 outcomes (from {!Adequacy.run_v}); byte-identical
-    to {!render_e5} when every outcome is [Ok]. *)
-val render_e5_v :
+(** Render E5 adequacy outcomes (from {!Adequacy.run}); same [stats]
+    discipline, except that the [stats] columns are the row's pairs,
+    states and memo hits: rows carry no timing, the bench harness times
+    whole tables. *)
+val render_e5 :
   ?stats:bool ->
   (Catalog.transformation * Adequacy.row Engine.Sweep.outcome) list -> string
 
@@ -126,24 +112,15 @@ val e15_row :
   ?values:Value.t list -> ?max_states:int -> ?budget:Engine.Budget.t ->
   Catalog.grid_entry -> e15_row
 
-(** The full grid corpus, one engine task per litmus program. *)
+(** The E15 sweep, supervised as {!e12_rows}.  [corpus] defaults to
+    {!Catalog.grid_programs}. *)
 val e15_rows :
-  ?pool:Engine.Pool.t -> ?jobs:int -> ?values:Value.t list -> unit ->
-  e15_row list
-
-(** The fault-tolerant E15 sweep; supervised outcomes as
-    {!e12_rows_v}.  [corpus] defaults to {!Catalog.grid_programs}. *)
-val e15_rows_v :
   ?pool:Engine.Pool.t -> ?jobs:int -> ?values:Value.t list ->
   ?budget:Engine.Budget.spec -> ?retries:int -> ?faults:Engine.Faults.plan ->
   ?corpus:Catalog.grid_entry list -> unit ->
   (Catalog.grid_entry * e15_row Engine.Sweep.outcome) list
 
-val render_e15 : ?stats:bool -> e15_row list -> string
-
-(** Render supervised E15 outcomes; byte-identical to {!render_e15}
-    when every outcome is [Ok]. *)
-val render_e15_v :
+val render_e15 :
   ?stats:bool ->
   (Catalog.grid_entry * e15_row Engine.Sweep.outcome) list -> string
 
@@ -163,23 +140,14 @@ val e15p_row :
   ?values:Value.t list -> ?max_states:int -> ?budget:Engine.Budget.t ->
   string * string -> e15p_row
 
-(** The full pass grid, one engine task per (transformation, context)
-    pair from {!Catalog.grid_passes}. *)
+(** The pass-grid sweep, one supervised task per (transformation,
+    context) pair from {!Catalog.grid_passes}. *)
 val e15p_rows :
-  ?pool:Engine.Pool.t -> ?jobs:int -> ?values:Value.t list -> unit ->
-  e15p_row list
-
-(** The fault-tolerant pass-grid sweep. *)
-val e15p_rows_v :
   ?pool:Engine.Pool.t -> ?jobs:int -> ?values:Value.t list ->
   ?budget:Engine.Budget.spec -> ?retries:int -> ?faults:Engine.Faults.plan ->
   ?corpus:(string * string) list -> unit ->
   ((string * string) * e15p_row Engine.Sweep.outcome) list
 
-val render_e15p : ?stats:bool -> e15p_row list -> string
-
-(** Render supervised pass-grid outcomes; byte-identical to
-    {!render_e15p} when every outcome is [Ok]. *)
-val render_e15p_v :
+val render_e15p :
   ?stats:bool ->
   ((string * string) * e15p_row Engine.Sweep.outcome) list -> string

@@ -578,13 +578,6 @@ let explore ?(params = Thread.default_params) ?(until_bot = false) ?memo
     memo_hits = memo.hits - hits_before;
   }
 
-(** Budgeted exploration that never raises: [Error reason] on budget
-    exhaustion or any trapped exception (e.g. [Stack_overflow]). *)
-let explore_v ?params ?until_bot ?memo ?budget (progs : Stmt.t list) :
-    (result, Engine.Verdict.reason) Stdlib.result =
-  Engine.Verdict.capture (fun () ->
-      explore ?params ?until_bot ?memo ?budget progs)
-
 (* ------------------------------------------------------------------ *)
 (* Behavioral refinement (Def 5.2 / 5.3)                                *)
 (* ------------------------------------------------------------------ *)

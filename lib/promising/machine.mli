@@ -92,19 +92,13 @@ type result = {
     promise at differ between programs.  [budget] (default
     unlimited, a no-op) is charged one state per distinct canonical state
     and polled along the search, including inside certification; on
-    exhaustion {!Engine.Budget.Exhausted} escapes — use {!explore_v} to
-    get an [Error] instead.  (The per-exploration [max_states] param
-    truncates instead of raising and is unaffected.) *)
+    exhaustion {!Engine.Budget.Exhausted} escapes — wrap the call in
+    {!Engine.Verdict.capture} to get an [Error] instead.  (The
+    per-exploration [max_states] param truncates instead of raising and
+    is unaffected.) *)
 val explore :
   ?params:Thread.params -> ?until_bot:bool -> ?memo:memo ->
   ?budget:Engine.Budget.t -> Stmt.t list -> result
-
-(** Budgeted {!explore} that never raises: budget exhaustion and trapped
-    exceptions (e.g. [Stack_overflow]) become [Error reason]. *)
-val explore_v :
-  ?params:Thread.params -> ?until_bot:bool -> ?memo:memo ->
-  ?budget:Engine.Budget.t -> Stmt.t list ->
-  (result, Engine.Verdict.reason) Stdlib.result
 
 (** [⊑] on behaviors: pointwise value/output [⊑]; everything ⊑ ⊥. *)
 val behavior_le : behavior -> behavior -> bool

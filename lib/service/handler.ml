@@ -289,7 +289,10 @@ let serve_litmus t ~prog ~(params : Proto.litmus_params) (b : Proto.budget) :
       ~cacheable:(function Proto.Litmus_result _ -> true | _ -> false)
       (fun () ->
         let budget = Engine.Budget.start (spec_of t b) in
-        match Promising.Machine.explore_v ~params:mparams ~budget threads with
+        match
+          Engine.Verdict.capture (fun () ->
+              Promising.Machine.explore ~params:mparams ~budget threads)
+        with
         | Ok r ->
           Proto.Litmus_result
             {

@@ -36,14 +36,14 @@ let acquire_le (a : Event.acq) (scfg : Config.t) =
 let respond1 (scfg : Config.t) (ev : Event.t) :
     [ `Ok of Respond.src_point | `Bot | `No ] =
   let open Event in
-  let plain prog = `Ok (Respond.Plain { scfg with prog }) in
+  let step_to prog = `Ok (Respond.Plain { scfg with prog }) in
   match ev, Prog.step scfg.Config.prog with
-  | Choose v, Prog.Choice f -> plain (f v)
+  | Choose v, Prog.Choice f -> step_to (f v)
   | Rlx_read (x, v), Prog.Do_read (Mode.Rrlx, y, f) when Loc.equal x y ->
-    plain (f v)
+    step_to (f v)
   | Rlx_write (x, vt), Prog.Do_write (Mode.Wrlx, y, vs, p) when Loc.equal x y ->
-    if Value.le vt vs then plain p else `No
-  | Out vt, Prog.Do_out (vs, p) -> if Value.le vt vs then plain p else `No
+    if Value.le vt vs then step_to p else `No
+  | Out vt, Prog.Do_out (vs, p) -> if Value.le vt vs then step_to p else `No
   | Acq a, shape when acquire_le a scfg ->
     let acquire prog =
       Moves.apply_acquire { scfg with prog } ~post:a.apost ~vnew:a.agained

@@ -35,6 +35,17 @@ let check_row (r : A.row) =
     Alcotest.failf "adequacy violated on %s in context(s) %s" r.A.tr.C.name
       (String.concat ", " bad)
 
+(* The rows of a sweep; a task that did not finish fails the test. *)
+let rows_of outcomes =
+  List.map
+    (fun ((tr : C.transformation), (o : A.row Engine.Sweep.outcome)) ->
+      match o.result with
+      | Ok r -> r
+      | Error reason ->
+        Alcotest.failf "%s: UNKNOWN(%s)" tr.C.name
+          (Engine.Verdict.reason_to_string reason))
+    outcomes
+
 (* Engine-swept slice: A.run must agree row-by-row with the catalog's
    expected SEQ verdicts, hold the adequacy implication, and return the
    same rows (including states/pairs/memo-hit stats) for every [jobs]
@@ -52,7 +63,9 @@ let sweep_corpus =
     ]
 
 let test_swept_slice () =
-  let rows = A.run ~jobs:2 ~contexts:quick_contexts ~corpus:sweep_corpus () in
+  let rows =
+    rows_of (A.run ~jobs:2 ~contexts:quick_contexts ~corpus:sweep_corpus ())
+  in
   Alcotest.(check int) "one row per transformation"
     (List.length sweep_corpus) (List.length rows);
   List.iter
@@ -71,7 +84,9 @@ let test_swept_slice () =
 
 let test_jobs_invariance () =
   let corpus = List.filteri (fun i _ -> i < 3) sweep_corpus in
-  let sweep jobs = A.run ~jobs ~contexts:quick_contexts ~corpus () in
+  let sweep jobs =
+    rows_of (A.run ~jobs ~contexts:quick_contexts ~corpus ())
+  in
   (* rows carry no timing, so full structural equality is the contract *)
   if sweep 1 <> sweep 3 then
     Alcotest.fail "adequacy rows differ between jobs:1 and jobs:3"
@@ -95,5 +110,5 @@ let suite =
       Alcotest.test_case "adequacy: full corpus sweep" `Slow (fun () ->
           if Sys.getenv_opt "PSEQ_FULL" = None then
             Alcotest.skip ()
-          else List.iter check_row (A.run ()));
+          else List.iter check_row (rows_of (A.run ())));
     ]

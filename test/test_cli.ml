@@ -61,9 +61,9 @@ let test_seqlint_missing_file () =
 let test_seqlint_json_same_exit () =
   List.iter
     (fun f ->
-      let plain = run_exit (Fmt.str "%s %s" (exe "seqlint") (wm f)) in
+      let text = run_exit (Fmt.str "%s %s" (exe "seqlint") (wm f)) in
       let json = run_exit (Fmt.str "%s --json %s" (exe "seqlint") (wm f)) in
-      Alcotest.(check int) (f ^ ": --json preserves the exit code") plain json)
+      Alcotest.(check int) (f ^ ": --json preserves the exit code") text json)
     [ "mp.wm"; "slf_src.wm"; "bad_reorder_src.wm" ]
 
 let test_seqcheck_lint_agreement () =
@@ -72,7 +72,7 @@ let test_seqcheck_lint_agreement () =
       let lint_errors =
         run_exit (Fmt.str "%s %s %s" (exe "seqlint") (wm s) (wm t)) = 3
       in
-      let plain =
+      let unlinted =
         run_exit (Fmt.str "%s %s %s" (exe "seqcheck") (wm s) (wm t))
       in
       let linted =
@@ -80,7 +80,7 @@ let test_seqcheck_lint_agreement () =
       in
       Alcotest.(check int)
         (Fmt.str "%s/%s: --lint agrees with seqlint" s t)
-        (if plain = 0 && lint_errors then 3 else plain)
+        (if unlinted = 0 && lint_errors then 3 else unlinted)
         linted)
     [
       ("slf_src.wm", "slf_tgt.wm");

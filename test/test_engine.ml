@@ -49,20 +49,6 @@ let test_exception_propagates () =
       Alcotest.check int_list "pool survives a raising job" [ 1; 2; 3 ]
         (S.run ~pool ~f:(fun x -> x) [ 1; 2; 3 ]))
 
-let test_find_first_min_index () =
-  (* matches at 17 and 23: the lowest index must win however fast a
-     later worker finds 23 *)
-  let f i = if i = 17 || i = 23 then Some (i * 100) else None in
-  match S.find_first ~jobs:4 ~chunk:1 ~f (List.init 60 Fun.id) with
-  | Some (17, 1700) -> ()
-  | Some (i, v) -> Alcotest.failf "expected (17, 1700), got (%d, %d)" i v
-  | None -> Alcotest.fail "expected a match"
-
-let test_find_first_none () =
-  match S.find_first ~jobs:3 ~f:(fun _ -> None) (List.init 10 Fun.id) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected no match"
-
 let test_run_with_envs () =
   (* init runs at most once per worker slot, and per-domain state never
      changes results *)
@@ -86,13 +72,6 @@ let test_run_with_envs () =
     got;
   let n = Atomic.get created in
   if n < 1 || n > 4 then Alcotest.failf "expected 1..4 envs, created %d" n
-
-let test_run_timed () =
-  let rs = S.run_timed ~jobs:2 ~f:(fun x -> x + 1) [ 1; 2 ] in
-  Alcotest.check int_list "timed results" [ 2; 3 ] (List.map fst rs);
-  List.iter
-    (fun (_, ms) -> if ms < 0. then Alcotest.fail "negative wall time")
-    rs
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: the determinism contract on real workloads                   *)
@@ -184,11 +163,7 @@ let suite =
     Alcotest.test_case "sweep: input order" `Quick test_input_order;
     Alcotest.test_case "sweep: exception propagation, pool survives" `Quick
       test_exception_propagates;
-    Alcotest.test_case "sweep: find_first picks min index" `Quick
-      test_find_first_min_index;
-    Alcotest.test_case "sweep: find_first none" `Quick test_find_first_none;
     Alcotest.test_case "sweep: per-domain envs" `Quick test_run_with_envs;
-    Alcotest.test_case "sweep: run_timed" `Quick test_run_timed;
     QCheck_alcotest.to_alcotest det_transformations;
     QCheck_alcotest.to_alcotest det_explore_with_domain_memo;
     QCheck_alcotest.to_alcotest det_backend_grid;

@@ -143,20 +143,20 @@ let test_ample_budget_agrees () =
       end)
     C.transformations
 
-let test_explore_v_budget () =
+let test_explore_budget () =
   let progs =
     Lang.Parser.threads_of_string
       "Y.store(rlx,1); a = Z.load(rlx); return a ||| \
        Z.store(rlx,1); b = Y.load(rlx); return b"
   in
-  (match
-     Promising.Machine.explore_v ~budget:(B.start (B.spec ~max_states:3 ()))
-       progs
-   with
+  let explore ?budget () =
+    V.capture (fun () -> Promising.Machine.explore ?budget progs)
+  in
+  (match explore ~budget:(B.start (B.spec ~max_states:3 ())) () with
    | Error (V.Exhausted B.States) -> ()
    | Ok _ -> Alcotest.fail "expected Error (states)"
    | Error r -> Alcotest.failf "expected states, got %s" (V.reason_to_string r));
-  match Promising.Machine.explore_v progs with
+  match explore () with
   | Ok r -> Alcotest.(check bool) "unbudgeted Ok" true (r.Promising.Machine.states > 0)
   | Error r -> Alcotest.failf "unexpected %s" (V.reason_to_string r)
 
@@ -305,7 +305,7 @@ let poisoned : C.transformation =
 let test_mixed_access_is_per_task () =
   let healthy = Option.get (C.find_transformation "slf-basic") in
   let rows =
-    Matrix.e12_rows_v ~jobs:2 ~corpus:[ healthy; poisoned; healthy ] ()
+    Matrix.e12_rows ~jobs:2 ~corpus:[ healthy; poisoned; healthy ] ()
   in
   match rows with
   | [ (_, a); (_, b); (_, c) ] ->
@@ -317,22 +317,29 @@ let test_mixed_access_is_per_task () =
          (contains ~sub:"mixed" t.V.exn);
        Alcotest.(check bool) "quarantined" true b.S.quarantined
      | _ -> Alcotest.fail "expected the poisoned row to trap");
-    let rendered = Matrix.render_e12_v rows in
+    let rendered = Matrix.render_e12 rows in
     Alcotest.(check bool) "render shows UNKNOWN row" true
       (contains ~sub:"UNKNOWN(trap:" rendered)
   | _ -> Alcotest.fail "expected 3 rows"
 
 (* ------------------------------------------------------------------ *)
-(* Renderer byte-identity on the all-Ok path                            *)
+(* The swept table reads as the sequential rows' table                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_render_identity_when_ok () =
+(* [rows] as the outcomes of tasks that all succeeded at once. *)
+let as_outcomes corpus rows =
+  List.combine corpus
+    (List.map
+       (fun r ->
+         { S.result = Ok r; attempts = 1; quarantined = false; wall_ms = 0. })
+       rows)
+
+let test_render_sweep_is_sequential () =
   let corpus = List.filteri (fun i _ -> i mod 5 = 0) C.transformations in
-  let plain = List.map (fun tr -> Matrix.e12_row tr) corpus in
-  let supervised = Matrix.e12_rows_v ~jobs:2 ~corpus () in
-  Alcotest.(check string) "render_e12_v = render_e12 when all Ok"
-    (Matrix.render_e12 ~stats:false plain)
-    (Matrix.render_e12_v ~stats:false supervised)
+  let sequential = List.map (fun tr -> Matrix.e12_row tr) corpus in
+  Alcotest.(check string) "jobs:2 sweep renders as the sequential rows"
+    (Matrix.render_e12 ~stats:false (as_outcomes corpus sequential))
+    (Matrix.render_e12 ~stats:false (Matrix.e12_rows ~jobs:2 ~corpus ()))
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: unlimited budgets change nothing; determinism under faults   *)
@@ -351,23 +358,19 @@ let e12_summary (r : Matrix.e12_row) =
 
 let qcheck_unlimited_identity =
   QCheck.Test.make
-    ~name:"run_verdict with an unlimited budget = plain sweep, byte-identical"
+    ~name:"run_verdict with an unlimited budget: Ok rows = sequential rows"
     ~count:4
     QCheck.(list_of_size Gen.(return (List.length C.transformations)) bool)
     (fun mask ->
       let corpus = slice_of mask C.transformations in
-      let plain = List.map (fun tr -> Matrix.e12_row tr) corpus in
-      let supervised = Matrix.e12_rows_v ~jobs:4 ~corpus () in
-      List.for_all (fun (_, o) -> S.outcome_ok o) supervised
-      && String.equal
-           (Matrix.render_e12 ~stats:false plain)
-           (Matrix.render_e12_v ~stats:false supervised)
-      && List.for_all2
-           (fun r (_, (o : _ S.outcome)) ->
-             match o.S.result with
-             | Ok r' -> String.equal (e12_summary r) (e12_summary r')
-             | Error _ -> false)
-           plain supervised)
+      let sequential = List.map (fun tr -> Matrix.e12_row tr) corpus in
+      let swept = Matrix.e12_rows ~jobs:4 ~corpus () in
+      List.for_all2
+        (fun r (_, (o : _ S.outcome)) ->
+          match o.S.result with
+          | Ok r' -> String.equal (e12_summary r) (e12_summary r')
+          | Error _ -> false)
+        sequential swept)
 
 let outcome_fingerprint (o : _ S.outcome) =
   (* everything except wall_ms must be scheduling-proof *)
@@ -416,8 +419,8 @@ let suite =
       `Quick test_tiny_state_budget_unknown;
     Alcotest.test_case "checker: ample budget never flips a verdict" `Quick
       test_ample_budget_agrees;
-    Alcotest.test_case "machine: explore_v respects the budget" `Quick
-      test_explore_v_budget;
+    Alcotest.test_case "machine: explore under a budget gives Unknown" `Quick
+      test_explore_budget;
     Alcotest.test_case "machine: SC and catch-fire stop at the deadline"
       `Quick test_sc_deadline;
     Alcotest.test_case "sweep: quarantine leaves other tasks intact" `Quick
@@ -432,8 +435,8 @@ let suite =
       `Quick test_stall_fault_deadline;
     Alcotest.test_case "sweep: mixed access is a per-task Unknown row" `Quick
       test_mixed_access_is_per_task;
-    Alcotest.test_case "render: _v renderer byte-identical on all-Ok" `Quick
-      test_render_identity_when_ok;
+    Alcotest.test_case "render: swept table = sequential rows' table" `Quick
+      test_render_sweep_is_sequential;
     QCheck_alcotest.to_alcotest qcheck_unlimited_identity;
     QCheck_alcotest.to_alcotest qcheck_fault_determinism;
   ]
