@@ -54,38 +54,37 @@ let tokenize (src : string) : located list =
       if List.mem s keywords then emit (KW s) l0 c0 else emit (IDENT s) l0 c0
     end
     else begin
-      let two =
-        match peek 1 with
-        | Some c1 -> Some (Printf.sprintf "%c%c" c c1)
-        | None -> None
+      (* longest match first; every token is a constant string *)
+      let tok, len =
+        match c, peek 1, peek 2 with
+        | '|', Some '|', Some '|' -> (PUNCT "|||", 3)
+        | '=', Some '=', _ -> (OP "==", 2)
+        | '!', Some '=', _ -> (OP "!=", 2)
+        | '<', Some '=', _ -> (OP "<=", 2)
+        | '>', Some '=', _ -> (OP ">=", 2)
+        | '&', Some '&', _ -> (OP "&&", 2)
+        | '|', Some '|', _ -> (OP "||", 2)
+        | '(', _, _ -> (PUNCT "(", 1)
+        | ')', _, _ -> (PUNCT ")", 1)
+        | '{', _, _ -> (PUNCT "{", 1)
+        | '}', _, _ -> (PUNCT "}", 1)
+        | ',', _, _ -> (PUNCT ",", 1)
+        | ';', _, _ -> (PUNCT ";", 1)
+        | '.', _, _ -> (PUNCT ".", 1)
+        | '=', _, _ -> (PUNCT "=", 1)
+        | '+', _, _ -> (OP "+", 1)
+        | '-', _, _ -> (OP "-", 1)
+        | '*', _, _ -> (OP "*", 1)
+        | '/', _, _ -> (OP "/", 1)
+        | '%', _, _ -> (OP "%", 1)
+        | '<', _, _ -> (OP "<", 1)
+        | '>', _, _ -> (OP ">", 1)
+        | '!', _, _ -> (OP "!", 1)
+        | _ ->
+          raise (Error (Printf.sprintf "unexpected character %C" c, l0, c0))
       in
-      let three =
-        match peek 1, peek 2 with
-        | Some c1, Some c2 -> Some (Printf.sprintf "%c%c%c" c c1 c2)
-        | _ -> None
-      in
-      match three with
-      | Some "|||" ->
-        emit (PUNCT "|||") l0 c0;
-        advance (); advance (); advance ()
-      | _ ->
-        (match two with
-         | Some (("==" | "!=" | "<=" | ">=" | "&&" | "||") as op) ->
-           emit (OP op) l0 c0;
-           advance (); advance ()
-         | _ ->
-           (match c with
-            | '(' | ')' | '{' | '}' | ',' | ';' | '.' ->
-              emit (PUNCT (String.make 1 c)) l0 c0;
-              advance ()
-            | '=' ->
-              emit (PUNCT "=") l0 c0;
-              advance ()
-            | '+' | '-' | '*' | '/' | '%' | '<' | '>' | '!' ->
-              emit (OP (String.make 1 c)) l0 c0;
-              advance ()
-            | _ ->
-              raise (Error (Printf.sprintf "unexpected character %C" c, l0, c0))))
+      emit tok l0 c0;
+      for _ = 1 to len do advance () done
     end
   done;
   emit EOF !line !col;

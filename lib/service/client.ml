@@ -41,6 +41,7 @@ type counters = { retries : int; busy : int; reconnects : int }
 type t = {
   addr : Addr.t;
   policy : policy;
+  buf : Bytes.t;  (* read buffer, reused by every response and reconnect *)
   mutable fd : Unix.file_descr option;
   mutable retries : int;
   mutable busy : int;
@@ -101,6 +102,7 @@ let connect ?(policy = default_policy) addr =
     {
       addr = Addr.of_string addr;
       policy;
+      buf = Bytes.create 65536;
       fd = None;
       retries = 0;
       busy = 0;
@@ -121,7 +123,10 @@ let with_connection ?policy addr f =
   let t = connect ?policy addr in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-(* Read one response frame, honouring the policy's request deadline. *)
+(* Read one response frame, honouring the policy's request deadline.  The
+   bytes go through the connection's one buffer into a fresh Assembler:
+   it copies each payload out, so no response aliases the buffer, and a
+   frame half-read by an earlier attempt is never continued here. *)
 let read_response t fd =
   let deadline =
     Option.map
@@ -129,7 +134,6 @@ let read_response t fd =
       t.policy.request_timeout_ms
   in
   let asm = Proto.Assembler.create () in
-  let buf = Bytes.create 65536 in
   let rec go () =
     match Proto.Assembler.next asm with
     | Some payload -> Proto.decode_response payload
@@ -144,10 +148,10 @@ let read_response t fd =
       (match Unix.select [ fd ] [] [] wait with
        | [], _, _ -> if deadline <> None then raise Timeout else go ()
        | _ -> (
-         match Unix.read fd buf 0 (Bytes.length buf) with
+         match Unix.read fd t.buf 0 (Bytes.length t.buf) with
          | 0 -> raise (Proto.Error "connection closed before response")
          | n ->
-           Proto.Assembler.feed asm buf 0 n;
+           Proto.Assembler.feed asm t.buf 0 n;
            go ()
          | exception
              Unix.Unix_error

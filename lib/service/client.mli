@@ -48,6 +48,10 @@ type counters = {
   reconnects : int;  (** fresh connections after a failure *)
 }
 
+(** One connection and its state, including one read buffer that every
+    response on it reuses, across reconnects.  A [t] is not thread-safe:
+    use it from one domain at a time (the protocol is strictly serialized
+    anyway); give each concurrent caller its own connection. *)
 type t
 
 val counters : t -> counters

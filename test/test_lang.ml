@@ -148,3 +148,95 @@ let catalog_sanity =
   ]
 
 let suite = suite @ catalog_sanity
+
+(* The lexer's token stream, positions and errors, pinned on a source that
+   holds every punctuation and operator token, the [||]/[|||] and
+   [==]/[=] boundaries, a comment and blank lines. *)
+let lexer_pin_src =
+  "x = (a + 1) * b - c / 2 % d; // ! @ | &\n{ e , f . g }\n\n\
+   if (a == b) { y = a != b } else { z = a <= b };\n\
+   w = a < b && a > b || !a >= b\n\
+   a||b; a ||| b; a===b\n  return 0=="
+
+let lexer_pin_tokens =
+  [ ("IDENT x", 1, 1); ("PUNCT =", 1, 3); ("PUNCT (", 1, 5); ("IDENT a", 1, 6);
+    ("OP +", 1, 8); ("INT 1", 1, 10); ("PUNCT )", 1, 11); ("OP *", 1, 13);
+    ("IDENT b", 1, 15); ("OP -", 1, 17); ("IDENT c", 1, 19); ("OP /", 1, 21);
+    ("INT 2", 1, 23); ("OP %", 1, 25); ("IDENT d", 1, 27); ("PUNCT ;", 1, 28);
+    ("PUNCT {", 2, 1); ("IDENT e", 2, 3); ("PUNCT ,", 2, 5); ("IDENT f", 2, 7);
+    ("PUNCT .", 2, 9); ("IDENT g", 2, 11); ("PUNCT }", 2, 13);
+    ("KW if", 4, 1); ("PUNCT (", 4, 4); ("IDENT a", 4, 5); ("OP ==", 4, 7);
+    ("IDENT b", 4, 10); ("PUNCT )", 4, 11); ("PUNCT {", 4, 13);
+    ("IDENT y", 4, 15); ("PUNCT =", 4, 17); ("IDENT a", 4, 19);
+    ("OP !=", 4, 21); ("IDENT b", 4, 24); ("PUNCT }", 4, 26);
+    ("KW else", 4, 28); ("PUNCT {", 4, 33); ("IDENT z", 4, 35);
+    ("PUNCT =", 4, 37); ("IDENT a", 4, 39); ("OP <=", 4, 41);
+    ("IDENT b", 4, 44); ("PUNCT }", 4, 46); ("PUNCT ;", 4, 47);
+    ("IDENT w", 5, 1); ("PUNCT =", 5, 3); ("IDENT a", 5, 5); ("OP <", 5, 7);
+    ("IDENT b", 5, 9); ("OP &&", 5, 11); ("IDENT a", 5, 14); ("OP >", 5, 16);
+    ("IDENT b", 5, 18); ("OP ||", 5, 20); ("OP !", 5, 23); ("IDENT a", 5, 24);
+    ("OP >=", 5, 26); ("IDENT b", 5, 29);
+    ("IDENT a", 6, 1); ("OP ||", 6, 2); ("IDENT b", 6, 4); ("PUNCT ;", 6, 5);
+    ("IDENT a", 6, 7); ("PUNCT |||", 6, 9); ("IDENT b", 6, 13);
+    ("PUNCT ;", 6, 14); ("IDENT a", 6, 16); ("OP ==", 6, 17);
+    ("PUNCT =", 6, 19); ("IDENT b", 6, 20);
+    ("KW return", 7, 3); ("INT 0", 7, 10); ("OP ==", 7, 11); ("EOF", 7, 13) ]
+
+(* source, message, line, column *)
+let lexer_pin_errors =
+  [ ("a | b", "unexpected character '|'", 1, 3);
+    ("x &y", "unexpected character '&'", 1, 3);
+    ("a = 1;\n  @", "unexpected character '@'", 2, 3);
+    ("b |", "unexpected character '|'", 1, 3);
+    ("&", "unexpected character '&'", 1, 1) ]
+
+let show_token = function
+  | Lexer.INT n -> "INT " ^ string_of_int n
+  | Lexer.IDENT s -> "IDENT " ^ s
+  | Lexer.KW s -> "KW " ^ s
+  | Lexer.PUNCT s -> "PUNCT " ^ s
+  | Lexer.OP s -> "OP " ^ s
+  | Lexer.EOF -> "EOF"
+
+(* Words [Parser.stmt_of_string] may allocate per catalog pair (source and
+   target): 804 with constant tokens, plus headroom.  A lexer that formats
+   a string per punctuation character allocates 2 946. *)
+let parse_words_per_pair_max = 1200.
+
+let lexer_suite =
+  [
+    test "lexer: tokens and positions pinned" (fun () ->
+        Alcotest.(check (list (triple string int int)))
+          "tokens" lexer_pin_tokens
+          (List.map
+             (fun (t : Lexer.located) -> (show_token t.tok, t.line, t.col))
+             (Lexer.tokenize lexer_pin_src));
+        List.iter
+          (fun (src, msg, line, col) ->
+            match Lexer.tokenize src with
+            | _ -> Alcotest.failf "%S lexed without an error" src
+            | exception Lexer.Error (m, l, c) ->
+              Alcotest.(check (triple string int int)) src (msg, line, col)
+                (m, l, c))
+          lexer_pin_errors);
+    test "parse allocation per catalog pair" (fun () ->
+        let parse_all () =
+          List.iter
+            (fun (tr : Litmus.Catalog.transformation) ->
+              ignore (Parser.stmt_of_string tr.Litmus.Catalog.src);
+              ignore (Parser.stmt_of_string tr.Litmus.Catalog.tgt))
+            Litmus.Catalog.transformations
+        in
+        parse_all ();
+        let before = Gc.minor_words () in
+        parse_all ();
+        let per_pair =
+          (Gc.minor_words () -. before)
+          /. float (List.length Litmus.Catalog.transformations)
+        in
+        if per_pair > parse_words_per_pair_max then
+          Alcotest.failf "%.0f words per pair (at most %.0f)" per_pair
+            parse_words_per_pair_max);
+  ]
+
+let suite = suite @ lexer_suite
