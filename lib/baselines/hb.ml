@@ -10,7 +10,14 @@
 
     The per-location access history ([meta]) is deliberately excluded
     from {!compare}: it is a function of the history already summarised
-    by (clocks, raced) for exploration purposes. *)
+    by (clocks, raced) for exploration purposes.
+
+    One thread has no happens-before: every epoch and clock component
+    then comes from that thread's own monotone clock, so no access is
+    ever unordered with another.  A one-thread component is therefore
+    [solo], which holds no clocks and no history and which every access
+    returns unchanged; two such components compare equal, so a
+    one-thread state key is free of clocks (a release loop closes). *)
 
 open Lang
 
@@ -23,19 +30,26 @@ type loc_meta = {
 }
 
 type t = {
-  n : int;  (* thread count *)
+  n : int;  (* thread count; at most 1 only in [solo] *)
   clocks : Vclock.t list;
   meta : loc_meta Loc.Map.t;
   raced : bool;
 }
 
+(* The one-thread component: no clocks, no history, never raced. *)
+let solo = { n = 1; clocks = []; meta = Loc.Map.empty; raced = false }
+
 let make n =
-  {
-    n;
-    clocks = List.init n (fun tid -> Vclock.init_thread n tid);
-    meta = Loc.Map.empty;
-    raced = false;
-  }
+  if n <= 1 then solo
+  else
+    {
+      n;
+      clocks = List.init n (fun tid -> Vclock.init_thread n tid);
+      meta = Loc.Map.empty;
+      raced = false;
+    }
+
+let is_solo h = h.n <= 1
 
 let raced h = h.raced
 
@@ -73,8 +87,11 @@ let racy_write h tid x ~atomic =
 
 (* A strict race ignores access modes: the access conflicts as if it
    were non-atomic. *)
-let strict_read_race h ~tid x = racy_read h tid x ~atomic:false
-let strict_write_race h ~tid x = racy_write h tid x ~atomic:false
+let strict_read_race h ~tid x =
+  (not (is_solo h)) && racy_read h tid x ~atomic:false
+
+let strict_write_race h ~tid x =
+  (not (is_solo h)) && racy_write h tid x ~atomic:false
 
 let record_read h tid x ~atomic =
   let m = get_meta h x in
@@ -109,43 +126,52 @@ let do_release h tid x =
 (** A read access: race check against the pre-state, acquire
     synchronisation when [acq], then history recording. *)
 let read h ~tid x ~atomic ~acq =
-  let h =
-    if h.raced || not (racy_read h tid x ~atomic) then h
-    else { h with raced = true }
-  in
-  let h = if acq then do_acquire h tid x else h in
-  record_read h tid x ~atomic
+  if is_solo h then h
+  else
+    let h =
+      if h.raced || not (racy_read h tid x ~atomic) then h
+      else { h with raced = true }
+    in
+    let h = if acq then do_acquire h tid x else h in
+    record_read h tid x ~atomic
 
 let write h ~tid x ~atomic ~rel =
-  let h =
-    if h.raced || not (racy_write h tid x ~atomic) then h
-    else { h with raced = true }
-  in
-  let h = if rel then do_release h tid x else h in
-  record_write h tid x ~atomic
+  if is_solo h then h
+  else
+    let h =
+      if h.raced || not (racy_write h tid x ~atomic) then h
+      else { h with raced = true }
+    in
+    let h = if rel then do_release h tid x else h in
+    record_write h tid x ~atomic
 
 (** An RMW: an atomic acquire read, plus a release write when [write]
     (a failed CAS is read-only). *)
 let update h ~tid x ~write =
-  let h =
-    if h.raced || not (racy_write h tid x ~atomic:true) then h
-    else { h with raced = true }
-  in
-  let h = do_acquire h tid x in
-  if not write then record_read h tid x ~atomic:true
+  if is_solo h then h
   else
-    let h = do_release h tid x in
-    let h = record_read h tid x ~atomic:true in
-    record_write h tid x ~atomic:true
+    let h =
+      if h.raced || not (racy_write h tid x ~atomic:true) then h
+      else { h with raced = true }
+    in
+    let h = do_acquire h tid x in
+    if not write then record_read h tid x ~atomic:true
+    else
+      let h = do_release h tid x in
+      let h = record_read h tid x ~atomic:true in
+      record_write h tid x ~atomic:true
 
 (* Fences synchronise through a distinguished token location. *)
 let fence h ~tid (m : Mode.fence) =
-  let tok = Loc.make "__fence__" in
-  match m with
-  | Mode.Facq -> do_acquire h tid tok
-  | Mode.Frel -> do_release h tid tok
-  | Mode.Facqrel | Mode.Fsc -> do_release (do_acquire h tid tok) tid tok
+  if is_solo h then h
+  else
+    let tok = Loc.make "__fence__" in
+    match m with
+    | Mode.Facq -> do_acquire h tid tok
+    | Mode.Frel -> do_release h tid tok
+    | Mode.Facqrel | Mode.Fsc -> do_release (do_acquire h tid tok) tid tok
 
+(* Solo components have no clocks and never race: they compare equal. *)
 let compare h1 h2 =
   let c = List.compare Vclock.compare h1.clocks h2.clocks in
   if c <> 0 then c else Bool.compare h1.raced h2.raced

@@ -3,13 +3,21 @@
     a self-contained component.  Synchronization order is the same under
     SC, TSO and ARMv8 — buffering relaxes visibility, not happens-before
     — so every machine's race verdict uses one definition: a conflicting
-    unordered pair with at least one non-atomic access (§5). *)
+    unordered pair with at least one non-atomic access (§5).
+
+    One thread has no happens-before: all its accesses are ordered by
+    program order, so a one-thread component keeps no clocks and no
+    per-location history, never races, and compares equal to any other
+    one-thread component.  A one-thread state key is therefore free of
+    clocks, and a loop that stores with release revisits its states. *)
 
 open Lang
 
 type t
 
-(** [make n]: initial component for [n] threads. *)
+(** [make n]: initial component for [n] threads.  For [n <= 1] it is
+    the clock-free one-thread component, which every access below
+    returns unchanged. *)
 val make : int -> t
 
 (** A race has been observed on some path into this state. *)
@@ -41,5 +49,6 @@ val fence : t -> tid:int -> Mode.fence -> t
 
 (** Total order for state-key comparators.  The per-location access
     history is deliberately excluded: it is a function of the history
-    summarised by clocks and the race flag. *)
+    summarised by clocks and the race flag.  Any two one-thread
+    components are equal. *)
 val compare : t -> t -> int

@@ -161,14 +161,14 @@ let test_explore_budget () =
   | Error r -> Alcotest.failf "unexpected %s" (V.reason_to_string r)
 
 (* SC and catch-fire run on the shared explorer, so a deadline stops
-   them mid-exploration like the hardware machines.  loop.wm never
-   terminates and never revisits a state (its release store ticks the
-   vector clock on every iteration): without the deadline each run goes
-   on to the 200 000-state default bound. *)
+   them mid-exploration like the hardware machines.  The unbounded
+   counter never terminates and never revisits a state (its register
+   grows on every iteration): without the deadline each run goes on to
+   the 200 000-state default bound. *)
 let test_sc_deadline () =
   let progs =
     Lang.Parser.threads_of_string
-      "a = 0; while (a < 2) { Y.store(rel, 1); a = 0 }; return a"
+      "a = 0; while (a >= 0) { a = (a + 1) }; return a"
   in
   let stops name explore =
     let budget = B.make ~timeout_ms:20. () in
