@@ -206,12 +206,12 @@ let check_baseline_env ~budget (s : subject) : string option =
   let p = s.prog in
   if Stmt.size p > baseline_env_max_size then None
   else
+  let sc = charged_sc ~budget s in
   let budget =
     if Engine.Budget.is_unlimited budget then
       Engine.Budget.make ~max_states:baseline_env_default_states ()
     else budget
   in
-  let sc = Lazy.force s.sc in
   if sc.Baselines.Sc.truncated then None
   else begin
     let cf = Baselines.Catchfire.of_sc sc in

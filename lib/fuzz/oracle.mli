@@ -51,7 +51,8 @@ val refines : budget:Engine.Budget.t -> src:Stmt.t -> tgt:Stmt.t -> bool
     exploration ({!Baselines.Sc.explore}, at most 20 000 states), run
     lazily on first demand and shared by [Baseline_env] and every
     [Baseline_hw] check of the subject.  Being shared, it runs under no
-    oracle's budget; [Baseline_hw] charges its states afterwards.  Build
+    oracle's budget; [Baseline_env] and [Baseline_hw] check their budget
+    first and charge its states afterwards.  Build
     one per program inside the task that checks it: a subject is not
     meant to be shared across domains. *)
 type subject
@@ -60,9 +61,9 @@ val subject : Stmt.t -> subject
 
 (** Run one oracle on a subject.  [Some detail] is a finding; the detail
     string is deterministic.  Budget charges do not depend on which
-    oracles ran on the subject before: [Baseline_hw] charges the SC
-    exploration's states to [budget] even when the exploration was
-    already done. *)
+    oracles ran on the subject before: [Baseline_env] and [Baseline_hw]
+    charge the SC exploration's states to [budget] even when the
+    exploration was already done. *)
 val check_subject :
   kind -> budget:Engine.Budget.t -> subject -> string option
 

@@ -533,6 +533,20 @@ let hw_charge_independent =
        | exception Engine.Budget.Exhausted _ -> ());
       alone = run_hw shared)
 
+(* Baseline-env checks and charges its budget for the shared SC
+   exploration like baseline-hw: an unbounded counter explores to the
+   20 000-state cap, so a 100-state budget is exhausted, not skipped as
+   truncated. *)
+let test_baseline_env_charges_sc () =
+  let p = Parser.stmt_of_string "a = 0; while (a >= 0) { a = (a + 1) }; return a" in
+  match
+    Fuzz.Oracle.check Fuzz.Oracle.Baseline_env
+      ~budget:(Engine.Budget.make ~max_states:100 ())
+      p
+  with
+  | _ -> Alcotest.fail "expected Exhausted States"
+  | exception Engine.Budget.Exhausted Engine.Budget.States -> ()
+
 let qsuite = List.map (QCheck_alcotest.to_alcotest ~long:false)
 
 let suite =
@@ -572,4 +586,6 @@ let suite =
         test_persist_roundtrip;
       Alcotest.test_case "resumed campaign is warm" `Quick
         test_campaign_resume_warm;
+      Alcotest.test_case "baseline-env charges the shared SC exploration"
+        `Quick test_baseline_env_charges_sc;
     ]
